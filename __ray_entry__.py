@@ -29,6 +29,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from etl_data_validation_kio_ray.core.resources import CachedEngineFn
+
 CACHE_ROOT = "/tmp/kio_ray_cache"
 ALLOWED_SOURCES = [f"src{i}" for i in range(18)]  # src18/src19 deliberately absent
 MAX_LEN = 80  # row_invariants n_tok range upper bound (violations exist naturally)
@@ -533,7 +535,7 @@ def q_minhash_pairs(sf_dir: str):
     from etl_data_validation_kio_ray.dedup import minhash_dedup_pairs
 
     ds = _docs(sf_dir, ["doc_id", "text"])
-    pairs = minhash_dedup_pairs(ds, jaccard_threshold=0.8, concurrency=2)
+    pairs = minhash_dedup_pairs(ds, jaccard_threshold=0.8)
     # int64 ids, matching the oracle's BIGINT doc_id exactly
     return pairs.astype({"id_a": "int64", "id_b": "int64", "jaccard": "float64"})
 
@@ -710,7 +712,7 @@ def q_shingle_stats(sf_dir: str):
 
 def q_multimodal_features(sf_dir: str):
     """Multimodal plumbing: deterministic fake image payloads derived
-    from doc ids -> actor-pool decode/feature stage (stubbed codec;
+    from doc ids -> stateful decode/feature stage (stubbed codec;
     rows-only — binary decode is not SQL-expressible)."""
     from etl_data_validation_kio_ray.multimodal.decode import (
         ImageFeatureStage,
@@ -720,10 +722,9 @@ def q_multimodal_features(sf_dir: str):
     ds = _docs(sf_dir, ["doc_id", "source"])
     imgs = ds.map_batches(synthesize_image_batch, batch_format="pyarrow")
     feats = imgs.map_batches(
-        ImageFeatureStage,
+        CachedEngineFn(ImageFeatureStage),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=_pool(2),
         batch_size=256,  # binary rows: small batches (ray_guide memory-aware)
     )
     out = feats.map_batches(
@@ -742,14 +743,13 @@ def q_multimodal_features(sf_dir: str):
     ).to_pandas()
     out = out.sort_values("doc_id").reset_index(drop=True)
     # self-assert: payloads are doc_id-deterministic, so a second run of
-    # the same actor-pool stage must reproduce the features exactly
+    # the same feature stage must reproduce the features exactly
     redo = (
         ds.map_batches(synthesize_image_batch, batch_format="pyarrow")
         .map_batches(
-            ImageFeatureStage,
+            CachedEngineFn(ImageFeatureStage),
             batch_format="pyarrow",
             zero_copy_batch=True,
-            concurrency=_pool(2),
             batch_size=256,
         )
         .map_batches(
@@ -792,7 +792,7 @@ def q_embedding_dups(sf_dir: str):
     ds = rd.read_parquet(
         os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
     )
-    pairs = embedding_dup_pairs(ds, cosine_threshold=0.9, n_tables=4, concurrency=2)
+    pairs = embedding_dup_pairs(ds, cosine_threshold=0.9, n_tables=4)
     if "id_a" not in pairs.columns:  # empty result loses schema
         pairs = pd.DataFrame(
             {
@@ -818,7 +818,7 @@ def q_ivf_topk(sf_dir: str):
     qdf = qt.to_pandas().sort_values("vec_id").head(3)
     Q = np.stack([np.asarray(v, np.float32) for v in qdf["embedding"]])
     ds = rd.read_parquet(emb_path, columns=["vec_id", "embedding"])
-    top = ivf_topk(ds, Q, k=10, n_cells=8, n_probe=3, concurrency=2)
+    top = ivf_topk(ds, Q, k=10, n_cells=8, n_probe=3)
     exact = brute_force_topk(
         rd.read_parquet(emb_path, columns=["vec_id", "embedding"]), Q, k=10
     )
@@ -2124,6 +2124,35 @@ def q_shipping_priority(sf_dir: str):
 REVENUE_BY_REGION_CUST_BROADCAST_MAX = 2_000_000  # rows (<= ~32 MB map)
 
 
+def _region_partials(
+    t: pa.Table, bk: np.ndarray, bc: np.ndarray, names: list
+) -> pa.Table:
+    """Per-region (r_name, n_orders, rev_c4) partials of one per-order
+    batch (ckey, n_orders, rev_c4), probing the broadcast customer map
+    (sorted custkeys ``bk`` -> region codes ``bc`` into ``names``).
+    Inner-join semantics: orders whose customer misses the map are
+    dropped, and only regions some order hit get a row."""
+    ck = t["ckey"].to_numpy(zero_copy_only=False).astype(np.int64)
+    idx_c = np.minimum(np.searchsorted(bk, ck), max(len(bk) - 1, 0))
+    hit = (bk[idx_c] == ck) if len(bk) else np.zeros(len(ck), bool)
+    rc = bc[idx_c[hit]]
+    no = t["n_orders"].to_numpy(zero_copy_only=False)[hit]
+    rv = t["rev_c4"].to_numpy(zero_copy_only=False)[hit]
+    n_reg = len(names)
+    acc_o = np.zeros(n_reg, np.int64)
+    acc_r = np.zeros(n_reg, np.int64)
+    np.add.at(acc_o, rc, no)
+    np.add.at(acc_r, rc, rv)
+    seen = np.flatnonzero(np.bincount(rc, minlength=n_reg))
+    return pa.table(
+        {
+            "r_name": pa.array(np.asarray(names, dtype=object)[seen], pa.string()),
+            "n_orders": pa.array(acc_o[seen]),
+            "rev_c4": pa.array(acc_r[seen]),
+        }
+    )
+
+
 def q_revenue_by_region(sf_dir: str):
     """TPC-H Q5-shaped star join: revenue per REGION. The dimension
     chain (nation ⋈ region, dozens of rows) folds driver-side; the
@@ -2231,26 +2260,7 @@ def q_revenue_by_region(sf_dir: str):
         lookup_ref = ray.put((bkeys, bcodes, list(names)))
 
         def attach(t: pa.Table) -> pa.Table:
-            bk, bc, nm = ray.get(lookup_ref)
-            ck = t["ckey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            idx = np.searchsorted(bk, ck)
-            idx_c = np.minimum(idx, len(bk) - 1)
-            hit = (len(bk) > 0) & (bk[idx_c] == ck)  # inner: drop misses
-            rc = bc[idx_c[hit]]
-            no = t["n_orders"].to_numpy(zero_copy_only=False)[hit]
-            rv = t["rev_c4"].to_numpy(zero_copy_only=False)[hit]
-            n_reg = len(nm)
-            acc_o = np.zeros(n_reg, np.int64)
-            acc_r = np.zeros(n_reg, np.int64)
-            np.add.at(acc_o, rc, no)
-            np.add.at(acc_r, rc, rv)
-            return pa.table(
-                {
-                    "r_name": pa.array(nm, pa.string()),
-                    "n_orders": pa.array(acc_o),
-                    "rev_c4": pa.array(acc_r),
-                }
-            )
+            return _region_partials(t, *ray.get(lookup_ref))
 
         per_region = per_order.map_batches(
             attach, batch_format="pyarrow", zero_copy_batch=True
@@ -2548,7 +2558,7 @@ def q_near_dedup_keep(sf_dir: str):
     from etl_data_validation_kio_ray.dedup.cluster import connected_components
 
     ds = _docs(sf_dir, ["doc_id", "text"])
-    pairs = minhash_dedup_pairs(ds, jaccard_threshold=0.8, concurrency=2)
+    pairs = minhash_dedup_pairs(ds, jaccard_threshold=0.8)
     if not len(pairs):
         return pd.DataFrame(
             {
@@ -4335,12 +4345,9 @@ def q_volume_shipping(sf_dir: str):
         )
     else:
         orders_cn = hash_join(
-            orders,
-            cust.map_batches(cust_pre, batch_format="pyarrow"),
-            on=("ck",),
-            num_partitions=16,
+            orders, cust.map_batches(cust_pre, batch_format="pyarrow"), on=("ck",)
         )
-    joined = hash_join(li_part, orders_cn, on=("okey",), num_partitions=16)
+    joined = hash_join(li_part, orders_cn, on=("okey",))
 
     def cross_only(t: pa.Table) -> pa.Table:
         return t.filter(
@@ -7620,9 +7627,6 @@ def q_hard_negatives(sf_dir: str):
 
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.core.resources import (
-        clamp_actor_concurrency,
-    )
     from etl_data_validation_kio_ray.similarity.ann import (
         _merge_topk,
         _normalize,
@@ -7673,10 +7677,7 @@ def q_hard_negatives(sf_dir: str):
             )
 
     partials = emb.map_batches(
-        Scorer,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=clamp_actor_concurrency(4),
+        CachedEngineFn(Scorer), batch_format="pyarrow", zero_copy_batch=True
     ).to_pandas()
     merged = _merge_topk(partials, "vec_id", HARDNEG_K)
     # query_id in the partials is the POSITION in the query matrix;
@@ -8032,7 +8033,7 @@ def q_gdpr_purge_audit(sf_dir: str):
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "user_id"],
     ).map_batches(
-        Tagger, batch_format="pyarrow", zero_copy_batch=True, concurrency=_pool(2)
+        CachedEngineFn(Tagger), batch_format="pyarrow", zero_copy_batch=True
     )
 
     counts = grouped_agg(
@@ -8271,23 +8272,6 @@ def q_event_value_ecdf(sf_dir: str):
     return out.sort_values(["event_type", "probe"]).reset_index(drop=True)
 
 
-def _pool(n: int) -> tuple[int, int]:
-    """Actor-pool ``concurrency`` for query-path ``map_batches``: an
-    AUTOSCALING (1, clamped-n) tuple, never a fixed int. A fixed pool
-    RESERVES its full size before processing; on a small session two
-    pools (or one pool the size of the cluster) then starve the
-    upstream read tasks of CPUs and the dataset wedges — observed as a
-    27-minute stall of q_national_market_share (pools 4+2 on the
-    4-CPU pytest session). With min=1 each pool starts on one CPU and
-    grows only when free CPUs exist; on a real cluster the max still
-    sizes the pool."""
-    from etl_data_validation_kio_ray.core.resources import (
-        clamp_actor_concurrency,
-    )
-
-    return (1, max(1, clamp_actor_concurrency(n)))
-
-
 def _gather_key_array(ds, col: str) -> pa.Array:
     """Collect ONE already-filtered key column as an Arrow int64 array
     via object refs (no pandas/tolist round-trip) for a ray.put
@@ -8430,7 +8414,7 @@ def q_national_market_share(sf_dir: str):
             "l_discount",
         ],
     ).map_batches(
-        LiPartial, batch_format="pyarrow", zero_copy_batch=True, concurrency=_pool(4)
+        CachedEngineFn(LiPartial), batch_format="pyarrow", zero_copy_batch=True
     )
 
     class OrdDim:
@@ -8452,7 +8436,7 @@ def q_national_market_share(sf_dir: str):
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
     ).map_batches(
-        OrdDim, batch_format="pyarrow", zero_copy_batch=True, concurrency=_pool(2)
+        CachedEngineFn(OrdDim), batch_format="pyarrow", zero_copy_batch=True
     )
 
     def per_year(t: pa.Table) -> pa.Table:
@@ -9139,10 +9123,7 @@ def q_bloom_prefilter_join(sf_dir: str):
 
     both = (
         li.map_batches(
-            Prefilter,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
+            CachedEngineFn(Prefilter), batch_format="pyarrow", zero_copy_batch=True
         )
         .map_batches(tag_probe, batch_format="pyarrow")
         .union(urgent.map_batches(tag_build, batch_format="pyarrow"))
@@ -9368,10 +9349,7 @@ def q_inverted_index(sf_dir: str):
             return p.filter(pc.is_in(p["g"], value_set=self.rare))
 
     pr = ds.map_batches(
-        RarePairs,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 8),
+        CachedEngineFn(RarePairs), batch_format="pyarrow", zero_copy_batch=True
     )
     nb = resolve_num_buckets(pr)
 
@@ -10592,7 +10570,7 @@ def q_profit_by_nation_year(sf_dir: str):
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(
-        LiPartial, batch_format="pyarrow", zero_copy_batch=True, concurrency=_pool(4)
+        CachedEngineFn(LiPartial), batch_format="pyarrow", zero_copy_batch=True
     )
     orders = rd.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -10691,7 +10669,7 @@ def q_part_best_supplier(sf_dir: str):
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_partkey", "l_suppkey"],
     ).map_batches(
-        PairPartial, batch_format="pyarrow", zero_copy_batch=True, concurrency=_pool(4)
+        CachedEngineFn(PairPartial), batch_format="pyarrow", zero_copy_batch=True
     )
     nb = resolve_num_buckets(pairs)
 
@@ -10900,7 +10878,7 @@ def q_part_supplier_counts(sf_dir: str):
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_partkey", "l_suppkey"],
     ).map_batches(
-        AttrPairs, batch_format="pyarrow", zero_copy_batch=True, concurrency=_pool(4)
+        CachedEngineFn(AttrPairs), batch_format="pyarrow", zero_copy_batch=True
     )
     out = grouped_count_distinct(pairs, "attr_key", "s_suppkey")
     split = out["attr_key"].str.split("|", expand=True)
@@ -11153,8 +11131,8 @@ VFS_STRIDE = 4  # sample every 4th frame
 def q_video_frame_sample(sf_dir: str):
     """Video frame-sampling through the REAL multimodal plumbing
     (multimodal/decode.VideoFrameSampleStage): sha256-seeded raw-frame
-    payloads ride the binary column in small batches through an
-    actor-pool explode stage (one row per sampled frame, energies
+    payloads ride the binary column in small batches through a
+    stateful explode stage (one row per sampled frame, energies
     computed vectorized off the Arrow byte buffer), then a per-source
     exact-integer aggregate: videos, sampled frames, sampled bytes,
     byte-energy sum. The DuckDB twin recomputes every sampled frame's
@@ -11179,12 +11157,10 @@ def q_video_frame_sample(sf_dir: str):
         batch_format="pyarrow",
         batch_size=256,  # binary rows: small batches (memory-aware)
     ).map_batches(
-        VideoFrameSampleStage,
-        fn_constructor_kwargs={"stride": VFS_STRIDE},
+        CachedEngineFn(VideoFrameSampleStage, stride=VFS_STRIDE),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=256,
-        concurrency=_pool(2),
     )
 
     def partial(t: pa.Table) -> pa.Table:
@@ -14320,7 +14296,7 @@ def q_dedup_survivorship(sf_dir: str):
 
     cols = ["canonical", "n_members", "sources", "max_n_chars"]
     ds = _docs(sf_dir, ["doc_id", "text"])
-    pairs = minhash_dedup_pairs(ds, jaccard_threshold=0.8, concurrency=2)
+    pairs = minhash_dedup_pairs(ds, jaccard_threshold=0.8)
     if not len(pairs):
         return pd.DataFrame(
             {
@@ -18416,10 +18392,7 @@ def q_bloom_decontamination(sf_dir: str):
             return pairs.filter(pa.array(mask))
 
     survivors = corpus.map_batches(
-        Prefilter,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 8),
+        CachedEngineFn(Prefilter), batch_format="pyarrow", zero_copy_batch=True
     )
     nb = resolve_num_buckets(corpus)
 

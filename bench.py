@@ -222,7 +222,7 @@ BENCH_QUERIES = [
     "part_supplier_counts",  # Q16: NOT-IN exclusions + grouped distinct
     "supplier_pagerank",  # 3-round integer PageRank, one exchange/round
     "late_arrivals",  # watermark late-data audit via global running max
-    "video_frame_sample",  # binary frame-sample explode, actor pool
+    "video_frame_sample",  # binary frame-sample explode, stateful stage
     "zorder_layout",  # Morton interleave + global NTILE + span profile
     # round 4 session 13: graph census, ordered reduce, recurrence, sketch
     "bulk_cosupplier_triangles",  # clique census via bitset partials
@@ -358,11 +358,10 @@ def _pipe(snap_dir: str | None = None):
         # (256 partitions / default 64) buys nothing here; production
         # runs keep the default for bounded recompute-after-crash
         shard_size=1024,
-        # NOTE: max_read_tasks (grouping several files per fused task)
-        # was measured SLOWER here — multi-file blocks mean ~500 MB
-        # decoded allocations, which this host's page-fault behavior
-        # punishes more than the per-task scheduling it saves. One
-        # fused task per file stays the bench layout.
+        # one fused task per partition file: grouping several files
+        # per task was measured SLOWER here — multi-file blocks mean
+        # ~500 MB decoded allocations, which this host's page-fault
+        # behavior punishes more than the per-task scheduling it saves.
     )
 
 

@@ -4,8 +4,9 @@ A from-scratch re-expression of the validation semantics of the reference
 repo (maxwjiill/etl-data-validation-kio — a Postgres/SQL ETL-validation
 harness) as an idiomatic Ray Data engine: every check is a vectorized
 Arrow batch transform inside ``Dataset.map_batches``, stateful stages are
-actor pools, wide checks (uniqueness) are hash-partitioned groupbys, and
-small dimension sides are broadcast via ``ray.put``.
+fused tasks with a per-worker instance cache (core.resources), wide
+checks (uniqueness) are hash-partitioned groupbys, and small dimension
+sides are broadcast via ``ray.put``.
 
 Primary input table (see FIXTURES.md F1):
     doc_id: string, tokens: list<int32>, n_tok: int32, source: string

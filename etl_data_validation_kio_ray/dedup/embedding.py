@@ -6,9 +6,9 @@ map-side-bucketed int64 dup scan (one low-cardinality shuffle of 12
 bytes/row), candidate members gather to the driver (capped loudly),
 and only candidate VECTORS are fetched for exact float64 cosine
 verification — vectors never ride a shuffle. The hyperplane matrix is
-built once per actor from the fixed seed (no broadcast needed — it's
-derived state, the actor-pool analog of the reference's module-level
-compiled validators)."""
+built once per worker from the fixed seed (no broadcast needed — it's
+derived state, cached per worker by core/resources.CachedEngineFn like
+the reference's module-level compiled validators)."""
 
 from __future__ import annotations
 
@@ -16,8 +16,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-
-from ..core.resources import clamp_actor_concurrency
+from ..core.resources import CachedEngineFn
 from ..functions.vectors import batch_vectors as _vectors
 
 
@@ -79,7 +78,7 @@ MAX_BUCKET = 1024  # per-bucket candidate cap; truncation is LOUD
 
 def embedding_dup_pairs(
     ds, vec_col="embedding", id_col="vec_id", *, dim=64, n_planes=16,
-    n_tables=1, cosine_threshold=0.95, concurrency=4,
+    n_tables=1, cosine_threshold=0.95,
     report: dict | None = None,
 ) -> pd.DataFrame:
     """Verified (id_a < id_b, cosine >= threshold) near-dup pairs.
@@ -113,14 +112,12 @@ def embedding_dup_pairs(
 
     def bucketed():
         return ds.map_batches(
-            HyperplaneBucketer,
-            fn_constructor_kwargs=dict(
-                vec_col=vec_col, id_col=id_col, dim=dim,
+            CachedEngineFn(
+                HyperplaneBucketer, vec_col=vec_col, id_col=id_col, dim=dim,
                 n_planes=n_planes, n_tables=n_tables,
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
-            concurrency=clamp_actor_concurrency(concurrency),
         )
 
     def mixed_key(t: pa.Table) -> pa.Array:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-from ..core.resources import clamp_actor_concurrency
 import pyarrow.compute as pc
 
 from ..functions.grouping import run_starts
@@ -57,7 +55,7 @@ def _shingle_hashes(text: pa.Array, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MinHasher:
-    """Actor-pool stage: permutation params computed once per actor."""
+    """Plain picklable per-batch stage: its state is a few ints."""
 
     def __init__(self, text_col="text", id_col="doc_id", *, num_perm=128, bands=32, k=3, seed=1):
         self.text_col, self.id_col = text_col, id_col
@@ -85,28 +83,18 @@ class MinHasher:
         )
 
 
-def add_minhash_bands(ds, text_col="text", id_col="doc_id", *, num_perm=128, bands=32, k=3, concurrency=None):
+def add_minhash_bands(ds, text_col="text", id_col="doc_id", *, num_perm=128, bands=32, k=3):
     """Dataset -> exploded (id, band_id, band_key) rows.
 
     Task-based ``map_batches`` with a plain picklable MinHasher
     instance: its state is a few ints (permutation params derive
     deterministically from the seed inside the vectorized kernels), so
-    there is nothing worth an actor pool's startup cost — and the
-    task form lets Ray fuse the read with the hashing. ``concurrency``
-    (optional) switches back to an actor pool."""
-    hasher_kwargs = dict(
-        text_col=text_col, id_col=id_col, num_perm=num_perm, bands=bands, k=k
-    )
-    if concurrency:
-        return ds.map_batches(
-            MinHasher,
-            fn_constructor_kwargs=hasher_kwargs,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=clamp_actor_concurrency(concurrency),
-        )
+    there is nothing to cache per worker, and the task fuses with the
+    read that feeds it."""
     return ds.map_batches(
-        MinHasher(**hasher_kwargs), batch_format="pyarrow", zero_copy_batch=True
+        MinHasher(text_col=text_col, id_col=id_col, num_perm=num_perm, bands=bands, k=k),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
 
 
@@ -200,7 +188,6 @@ def minhash_dedup_pairs(
     bands=32,
     k=3,
     jaccard_threshold=0.8,
-    concurrency=4,
     num_buckets=256,
     report: dict | None = None,
     sink_dir: str | None = None,
@@ -277,8 +264,7 @@ def minhash_dedup_pairs(
 
     def banded():
         return add_minhash_bands(
-            ds, text_col, id_col, num_perm=num_perm, bands=bands, k=k,
-            concurrency=concurrency,
+            ds, text_col, id_col, num_perm=num_perm, bands=bands, k=k
         )
 
     gathered = gather_candidate_rows(

@@ -794,6 +794,78 @@ def repetition_flag_stats(
     return out.sort_values(group_col).reset_index(drop=True)
 
 
+def _dsir_word_buckets(t: pa.Table, text_col: str, nb: int):
+    """(word bucket per word, word offsets per doc) of one batch."""
+    from .hashing import hash_string_array
+
+    txt = t[text_col]
+    if isinstance(txt, pa.ChunkedArray):
+        txt = txt.combine_chunks()
+    txt = pc.fill_null(pc.utf8_lower(txt), "")
+    words = pc.split_pattern(txt, " ")
+    flat = pc.list_flatten(words)
+    off = np.asarray(words.offsets, dtype=np.int64)
+    off = off - off[0]
+    b = (hash_string_array(flat) % np.uint64(nb)).astype(np.int64)
+    return b, off
+
+
+def _dsir_weight_partial(
+    t: pa.Table, rr: np.ndarray, text_col: str, group_col: str, nb: int
+) -> pa.Table:
+    """Per-group (n_docs, n_words, sum_w, min_w, max_w) of one batch,
+    doc weight = Σ r_ppm[bucket(word)] over its words."""
+    if t.num_rows == 0:  # empty block: no groups, schema kept
+        e = pa.array([], pa.int64())
+        return pa.table(
+            {
+                group_col: t[group_col].slice(0, 0),
+                **{c: e for c in ("n_docs", "n_words", "sum_w", "min_w", "max_w")},
+            }
+        )
+    b, off = _dsir_word_buckets(t, text_col, nb)
+    cs = np.r_[np.int64(0), np.cumsum(rr[b])]
+    doc_w = cs[off[1:]] - cs[off[:-1]]
+    n = np.diff(off)
+    gcodes, gcard = _dense_ranks(
+        pc.cast(t[group_col], pa.string())
+        .to_numpy(zero_copy_only=False)
+        .astype(object)
+    )
+    first = np.zeros(gcard, np.int64)
+    first[gcodes[::-1]] = np.arange(len(gcodes) - 1, -1, -1, dtype=np.int64)
+    # per-group min/max of doc weights via sorted segments
+    order = np.lexsort((doc_w, gcodes))
+    gs, ws = gcodes[order], doc_w[order]
+    bound = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
+    mn = np.full(gcard, np.iinfo(np.int64).max, np.int64)
+    mx = np.full(gcard, np.iinfo(np.int64).min, np.int64)
+    mn[gs[bound]] = ws[bound]
+    mx[gs[np.r_[bound[1:] - 1, len(gs) - 1]]] = ws[
+        np.r_[bound[1:] - 1, len(gs) - 1]
+    ]
+    return pa.table(
+        {
+            group_col: t[group_col].take(pa.array(first)),
+            "n_docs": pa.array(
+                np.bincount(gcodes, minlength=gcard).astype(np.int64)
+            ),
+            "n_words": pa.array(
+                np.bincount(gcodes, weights=n, minlength=gcard).astype(
+                    np.int64
+                )
+            ),
+            "sum_w": pa.array(
+                np.bincount(gcodes, weights=doc_w, minlength=gcard).astype(
+                    np.int64
+                )
+            ),
+            "min_w": pa.array(mn),
+            "max_w": pa.array(mx),
+        }
+    )
+
+
 def dsir_importance_stats(
     ds,
     *,
@@ -830,25 +902,12 @@ def dsir_importance_stats(
     """
     import ray
 
-    from .hashing import hash_string_array
     from ..pipelines.relational import grouped_agg
 
     nb = int(n_buckets)
 
-    def _word_buckets(t: pa.Table):
-        txt = t[text_col]
-        if isinstance(txt, pa.ChunkedArray):
-            txt = txt.combine_chunks()
-        txt = pc.fill_null(pc.utf8_lower(txt), "")
-        words = pc.split_pattern(txt, " ")
-        flat = pc.list_flatten(words)
-        off = np.asarray(words.offsets, dtype=np.int64)
-        off = off - off[0]
-        b = (hash_string_array(flat) % np.uint64(nb)).astype(np.int64)
-        return b, off
-
     def count_partial(t: pa.Table) -> pa.Table:
-        b, off = _word_buckets(t)
+        b, off = _dsir_word_buckets(t, text_col, nb)
         n = np.diff(off)
         doc = np.repeat(np.arange(len(n), dtype=np.int64), n)
         tgt_doc = (
@@ -879,48 +938,7 @@ def dsir_importance_stats(
     r_ref = ray.put(r)
 
     def weight_partial(t: pa.Table) -> pa.Table:
-        b, off = _word_buckets(t)
-        rr = ray.get(r_ref)
-        cs = np.r_[np.int64(0), np.cumsum(rr[b])]
-        doc_w = cs[off[1:]] - cs[off[:-1]]
-        n = np.diff(off)
-        gcodes, gcard = _dense_ranks(
-            pc.cast(t[group_col], pa.string())
-            .to_numpy(zero_copy_only=False)
-            .astype(object)
-        )
-        first = np.zeros(gcard, np.int64)
-        first[gcodes[::-1]] = np.arange(len(gcodes) - 1, -1, -1, dtype=np.int64)
-        # per-group min/max of doc weights via sorted segments
-        order = np.lexsort((doc_w, gcodes))
-        gs, ws = gcodes[order], doc_w[order]
-        bound = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
-        mn = np.full(gcard, np.iinfo(np.int64).max, np.int64)
-        mx = np.full(gcard, np.iinfo(np.int64).min, np.int64)
-        mn[gs[bound]] = ws[bound]
-        mx[gs[np.r_[bound[1:] - 1, len(gs) - 1]]] = ws[
-            np.r_[bound[1:] - 1, len(gs) - 1]
-        ]
-        return pa.table(
-            {
-                group_col: t[group_col].take(pa.array(first)),
-                "n_docs": pa.array(
-                    np.bincount(gcodes, minlength=gcard).astype(np.int64)
-                ),
-                "n_words": pa.array(
-                    np.bincount(gcodes, weights=n, minlength=gcard).astype(
-                        np.int64
-                    )
-                ),
-                "sum_w": pa.array(
-                    np.bincount(gcodes, weights=doc_w, minlength=gcard).astype(
-                        np.int64
-                    )
-                ),
-                "min_w": pa.array(mn),
-                "max_w": pa.array(mx),
-            }
-        )
+        return _dsir_weight_partial(t, ray.get(r_ref), text_col, group_col, nb)
 
     out = grouped_agg(
         ds.map_batches(weight_partial, batch_format="pyarrow", zero_copy_batch=True),

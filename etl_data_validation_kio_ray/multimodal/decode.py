@@ -1,9 +1,10 @@
 """Multimodal columns: opaque binary payloads + typed metadata, decoded
-by actor-pool stages.
+by stateful ``map_batches`` stages (fused tasks, each stage built once
+per worker by core/resources.CachedEngineFn).
 
-The Ray-side plumbing is REAL and tested: schema, small-batch actor
-pool (large binary rows need small batches so batch x concurrency fits
-worker heap — ray_guide "Memory-aware"), deterministic output layout.
+The Ray-side plumbing is REAL and tested: schema, small batches (large
+binary rows need small batches so a batch fits the worker heap —
+ray_guide "Memory-aware"), deterministic output layout.
 The actual codec is STUBBED: the image/audio libraries are not in this
 container, so when PIL / soundfile are unavailable each stage derives a
 deterministic fake feature vector from the payload bytes (clearly
@@ -45,7 +46,7 @@ def _fake_features(payloads: list[bytes | None], dim: int) -> np.ndarray:
 
 
 class ImageFeatureStage:
-    """map_batches(ImageFeatureStage, concurrency=N, batch_size=SMALL,
+    """map_batches(CachedEngineFn(ImageFeatureStage), batch_size=SMALL,
     batch_format='pyarrow') — decode + resize + feature-extract.
 
     Real path requires PIL; otherwise the deterministic fake is used and
@@ -116,7 +117,7 @@ class AudioFeatureStage:
 
 class VideoFrameSampleStage:
     """Frame-sampling for video payloads —
-    ``map_batches(VideoFrameSampleStage(stride=k), concurrency=N,
+    ``map_batches(CachedEngineFn(VideoFrameSampleStage, stride=k),
     batch_size=SMALL, batch_format='pyarrow')``. EXPLODES each video
     row into one row per sampled frame (every ``stride``-th frame):
     (doc_id, source, frame_idx, f_len, f_energy) with the energy =
@@ -243,7 +244,7 @@ def synthesize_image_batch(
     ``multimodal_schema('image')``: payload bytes and dimensions derive
     from an 8-byte hash of the id, so any worker produces identical
     rows. Stands in for a real binary column while exercising the REAL
-    plumbing (schema, small batches, actor-pool decode). ``algo``:
+    plumbing (schema, small batches, stateful decode stage). ``algo``:
     'blake2b' (default) or 'sha256' — the sha256 variant exists so a
     DuckDB oracle (which has sha256 but not blake2b) can recompute the
     payload byte content exactly."""

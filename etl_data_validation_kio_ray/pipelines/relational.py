@@ -319,35 +319,30 @@ def hash_join(
     on: tuple[str, ...],
     right_on: tuple[str, ...] | None = None,
     join_type: str = "inner",
-    num_partitions: int = 32,
 ):
     """Distributed LARGE x LARGE equi-join: both sides hash-partition on
     the key (one all-to-all exchange each) and matching partitions join
     locally — Ray Data's native shuffle join (``Dataset.join``), wrapped
-    so callers state the partitioning decision explicitly.
+    so the exchange width and the aggregators' CPUs are decided in one
+    place (core/resources.join_args).
 
     Use :func:`broadcast_lookup_join` instead whenever ONE side fits in
     the object store (no shuffle of the big side at all); this is the
     tool for the fact ⋈ fact case where neither side can be broadcast
     (reference's staging ⋈ staging reconciliation joins,
     /root/reference/sql/initdb/mart_views.sql:62-95 at warehouse scale).
-    ``num_partitions`` sizes the exchange: at N nodes × C cores aim for
-    ~2-4 partitions per core so one straggler partition cannot dominate.
     Shrink the exchanged bytes BEFORE calling (column-prune, pre-aggregate
     to one row per key where semantics allow)."""
     if join_type not in ("inner", "left_outer", "right_outer", "full_outer"):
         raise ValueError(f"hash_join: unsupported join_type {join_type!r}")
-    from ..core.resources import clamp_actor_concurrency
+    from ..core.resources import join_args
 
-    # Ray's hash-shuffle join keeps one aggregator actor per partition
-    # alive for the whole exchange; more partitions than cores wedges a
-    # small session (core/resources.py). Treat the request as a maximum.
     return left_ds.join(
         right_ds,
         join_type=join_type,
-        num_partitions=clamp_actor_concurrency(num_partitions),
         on=tuple(on),
         right_on=tuple(right_on) if right_on is not None else None,
+        **join_args(),
     )
 
 

@@ -5,7 +5,7 @@ The Ray-Data re-expression of the reference's run lifecycle
 suite runner /root/reference/src/app2/validators/runner.py:109-228):
 
   read_parquet(pending partition files, pruned columns)
-    -> map_batches(RuleEngine, concurrency=N)     # all narrow rules, 1 pass
+    -> map_batches(CachedEngineFn(RuleEngine))    # all narrow rules, 1 fused task
     -> write_parquet(raw/, partition_cols=['kind'])  # violations + partials
   read_parquet(columns=[doc_id, partition])
     -> groupby(doc_id) dup scan                   # the wide rule
@@ -34,11 +34,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
+from ..core.resources import CachedEngineFn
 from ..core.specs import RuleSpec, default_rules
 from ..core.verdicts import CheckResult, gate_status, partition_verdict
 from ..sketches import CountingHist, FixedHistogram, HyperLogLog, TDigest
 from ..stages.drift import load_baseline_snapshot, score_drift, build_baseline_snapshot
-from ..stages.rule_engine import CachedEngineFn, RuleEngine
+from ..stages.rule_engine import RuleEngine
 from ..stages.uniqueness import (
     candidate_hashes_from_blobs,
     confirm_duplicates,
@@ -178,11 +179,8 @@ class ValidationPipeline:
         token_col: str = "tokens",
         len_col: str = "n_tok",
         source_col: str = "source",
-        concurrency: int | None = None,
         batch_size: int | None = None,
-        use_actor_pool: bool = False,
         shard_size: int = 64,
-        max_read_tasks: int | None = None,
     ):
         self.rules = rules or default_rules(allowed_sources=allowed_sources)
         if allowed_sources is not None and "source_ref" in self.rules:
@@ -197,34 +195,13 @@ class ValidationPipeline:
         self.token_col = token_col
         self.len_col = len_col
         self.source_col = source_col
-        self.concurrency = concurrency
         self.batch_size = batch_size
-        self.use_actor_pool = use_actor_pool
         self.shard_size = shard_size
-        # cap on read tasks per shard: None (default) = one fused task
-        # per partition file — right when files are large (the
-        # documented production layout). Small-file corpora can set a
-        # cap so several files group into each fused task (same
-        # Read->Engine->Write fusion, bigger blocks): per-task
-        # scheduling is a FIXED driver-side cost that otherwise
-        # dominates small runs at low parallelism.
-        self.max_read_tasks = max_read_tasks
 
     # ------------------------------------------------------------ helpers
 
     def _columns(self) -> list[str]:
         return [self.id_col, self.token_col, self.len_col, self.source_col, self.partition_col]
-
-    def _concurrency(self) -> int:
-        if self.concurrency:
-            return self.concurrency
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        # leave headroom for the read/write stages so the actor pool
-        # doesn't starve them (ray_guide: pool that reserves every CPU
-        # serializes the pipeline)
-        return max(2, cpus - 2)
 
     def _engine_kwargs(self, allowed_ref) -> dict:
         return dict(
@@ -245,27 +222,13 @@ class ValidationPipeline:
         return ray.put(allowed) if allowed is not None else None
 
     def _map_engine(self, ds, engine_kwargs: dict):
-        """Apply the rule engine to a Dataset.
-
-        Default: task-based ``map_batches`` with a per-worker cached
-        engine (stages/rule_engine.py CachedEngineFn) so Ray fuses
-        ReadParquet -> engine -> Write into one task and the decoded
-        token column never crosses the object store. ``use_actor_pool``
-        switches to the classic actor-pool form (state in __init__) —
-        semantically identical, useful when engine construction is
-        expensive relative to the data (e.g. huge rule sets).
-        """
-        if self.use_actor_pool:
-            return ds.map_batches(
-                RuleEngine,
-                fn_constructor_kwargs=engine_kwargs,
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-                concurrency=self._concurrency(),
-                batch_size=self.batch_size,
-            )
+        """Apply the rule engine to a Dataset: a task-based
+        ``map_batches`` with the engine built once per worker
+        (core/resources.CachedEngineFn), so Ray fuses ReadParquet ->
+        engine -> Write into one task and the decoded token column
+        never crosses the object store."""
         return ds.map_batches(
-            CachedEngineFn(engine_kwargs),
+            CachedEngineFn(RuleEngine, **engine_kwargs),
             batch_format="pyarrow",
             zero_copy_batch=True,
             batch_size=self.batch_size,
@@ -473,20 +436,16 @@ class ValidationPipeline:
                 for j, (cols, group_files) in enumerate(
                     _schema_groups([files[p] for p in shard], self._columns())
                 ):
-                    # one block per partition file (or per small GROUP
-                    # of files under max_read_tasks): keeps ReadParquet
+                    # one block per partition file: keeps ReadParquet
                     # -> engine -> Write fused into a single task (no
                     # object-store hop for the decoded token column).
                     # Assumes bounded partition files (the documented
                     # input layout); a multi-GB file would need
                     # splitting instead.
-                    nblocks = len(group_files)
-                    if self.max_read_tasks:
-                        nblocks = min(nblocks, self.max_read_tasks)
                     ds = rd.read_parquet(
                         group_files,
                         columns=cols,
-                        override_num_blocks=nblocks,
+                        override_num_blocks=len(group_files),
                     )
                     mapped = self._map_engine(ds, self._engine_kwargs(allowed_ref))
                     mapped.write_parquet(
@@ -819,8 +778,6 @@ def _candidate_hashes(out_dir: str, owners: dict[str, str]) -> pa.Table | None:
     distributed bucket shuffle by total hash volume."""
     import numpy as np
 
-    from ..stages.uniqueness import candidate_hashes_from_blobs
-
     groups = _hash_row_groups(out_dir, owners)
     if not groups:
         return None
@@ -874,15 +831,6 @@ def _hash_rows_dataset_from_groups(groups):
     for other in parts_ds[1:]:
         out = out.union(other)
     return out
-
-
-def _hash_rows_dataset(out_dir: str, owners: dict[str, str]):
-    """Lazy Dataset over the engine's kind=hash rows (partition,
-    payload). Returns None when no hash rows exist (id column absent)."""
-    groups = _hash_row_groups(out_dir, owners)
-    if not groups:
-        return None
-    return _hash_rows_dataset_from_groups(groups)
 
 
 def _shard_of(out_dir: str, nested_path: str) -> str:

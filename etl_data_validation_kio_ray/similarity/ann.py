@@ -18,8 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-
-from ..core.resources import clamp_actor_concurrency
+from ..core.resources import CachedEngineFn
 from ..functions.vectors import batch_vectors as _vectors
 
 
@@ -29,7 +28,8 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 
 class _TopKScorer:
-    """Actor-pool stage: resolves the broadcast query matrix once."""
+    """Per-batch-pure scorer: resolves the broadcast query matrix once
+    per worker (run through core/resources.CachedEngineFn)."""
 
     def __init__(self, queries_ref, vec_col: str, id_col: str, k: int, dtype=np.float32):
         import ray
@@ -62,7 +62,7 @@ class _TopKScorer:
 
 def brute_force_topk(
     ds, queries: np.ndarray, *, vec_col="embedding", id_col="vec_id", k=10,
-    concurrency=4, dtype=np.float32,
+    dtype=np.float32,
 ) -> pd.DataFrame:
     """Exact cosine top-k: (query_id, id, score, rank), deterministic
     tie-break by (score desc, id asc). ``dtype=np.float64`` matches
@@ -71,13 +71,11 @@ def brute_force_topk(
 
     qref = ray.put(np.asarray(queries, dtype=dtype))
     partials = ds.map_batches(
-        _TopKScorer,
-        fn_constructor_kwargs=dict(
-            queries_ref=qref, vec_col=vec_col, id_col=id_col, k=k, dtype=dtype
+        CachedEngineFn(
+            _TopKScorer, queries_ref=qref, vec_col=vec_col, id_col=id_col, k=k, dtype=dtype
         ),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=clamp_actor_concurrency(concurrency),
     ).to_pandas()
     return _merge_topk(partials, id_col, k)
 
@@ -112,7 +110,6 @@ def ivf_topk(
     train_sample=2048,
     seed=13,
     iters=10,
-    concurrency=4,
 ) -> pd.DataFrame:
     """IVF-style approximate top-k: train coarse centroids on a seeded
     sample, score each batch only against queries probing that batch's
@@ -171,10 +168,7 @@ def ivf_topk(
             )
 
     partials = ds.map_batches(
-        CellScorer,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=clamp_actor_concurrency(concurrency),
+        CachedEngineFn(CellScorer), batch_format="pyarrow", zero_copy_batch=True
     ).to_pandas()
     return _merge_topk(partials, id_col, k)
 

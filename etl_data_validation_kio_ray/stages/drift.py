@@ -74,9 +74,9 @@ def load_baseline_snapshot(snapshot_dir: str) -> dict:
 
 
 class DriftScorer:
-    """Actor-pool ``map_batches`` stage holding the baseline snapshot in
-    actor state: loaded ONCE per actor in ``__init__`` (from disk or a
-    ``ray.put`` ObjectRef), never per batch.
+    """Stateful ``map_batches`` stage holding the baseline snapshot:
+    loaded ONCE per worker in ``__init__`` (from disk or a ``ray.put``
+    ObjectRef), never per batch.
 
     Emits one row per (batch, partition) with streaming KS/PSI scores —
     an early-warning signal while data flows. The exact per-partition
@@ -84,9 +84,11 @@ class DriftScorer:
     partials (a batch is a sample of its partition; per-batch scores
     are noisier by design and use the same thresholds only as hints).
 
-        ds.map_batches(DriftScorer, fn_constructor_kwargs=dict(
-               snapshot=snap_dir_or_ref),
-           batch_format="pyarrow", zero_copy_batch=True, concurrency=N)
+        ds.map_batches(CachedEngineFn(DriftScorer, snapshot=snap_dir_or_ref),
+           batch_format="pyarrow", zero_copy_batch=True)
+
+    (``CachedEngineFn`` from core/resources.py: a fused task that loads
+    the snapshot once per worker.)
     """
 
     def __init__(
@@ -126,7 +128,7 @@ class DriftScorer:
         # (the exact per-partition pass still covers every source)
         self.min_tokens_per_source = min_tokens_per_source
 
-        # the stats kernel is compiled once per actor too (it would
+        # the stats kernel is compiled once per worker too (it would
         # otherwise rebuild rule specs on every batch of the hot path)
         from .rule_engine import RuleEngine
         from ..core.specs import default_rules

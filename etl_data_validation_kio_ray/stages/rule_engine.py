@@ -1,4 +1,4 @@
-"""The single-pass rule engine — an actor-pool ``map_batches`` stage.
+"""The single-pass rule engine — a stateful ``map_batches`` stage.
 
 Re-expresses the reference's per-suite validators
 (/root/reference/src/app2/validators/{stg,dds}/*_suite/*.py) and the
@@ -7,8 +7,9 @@ as ONE vectorized pass over zero-copy Arrow batches. Like the
 reference's module-level compiled ``Draft7Validator`` singletons
 (schema_suite/matches_schema.py:56), all rule compilation — expected
 schema, allowed-source set, baseline drift snapshot — happens once per
-actor in ``__init__`` (broadcast via ``ray.put`` ObjectRefs), never per
-batch.
+worker process in ``__init__`` (broadcast via ``ray.put`` ObjectRefs;
+the instance is cached per worker by core/resources.CachedEngineFn),
+never per batch.
 
 Output is a union table so ONE scan of the input produces both
 violation rows and mergeable stat partials (at 100 TB a second scan is
@@ -63,58 +64,15 @@ def bin_width(vocab_size: int) -> int:
     divide."""
     return -(-vocab_size // TOKEN_BINS)
 
-# per-worker-process engine cache for the task-based (fused) path: the
-# compiled engine is built once per worker and reused by every task the
-# worker executes — the task-pool equivalent of actor-pool __init__
-# state. Keyed by a config fingerprint so differently-configured
-# pipelines sharing a worker don't collide.
-_WORKER_ENGINES: dict[str, "RuleEngine"] = {}
-
-
-class CachedEngineFn:
-    """Picklable ``map_batches`` callable that lazily builds (and
-    caches per worker process) a :class:`RuleEngine`.
-
-    Why not ``map_batches(RuleEngine, concurrency=N)``: an actor pool
-    is a separate operator, so read -> engine crosses the object store
-    and pays actor-pool startup on every run; a plain function fuses
-    with ReadParquet into ONE task (`ReadParquet->MapBatches->Write`),
-    keeping the heavy decoded token column entirely on the worker heap.
-    The engine state (compiled rules, broadcast allowed-source set) is
-    still built once per worker via the module-level cache above.
-    """
-
-    def __init__(self, engine_kwargs: dict):
-        self.engine_kwargs = engine_kwargs
-        self.cache_key = _config_key(engine_kwargs)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        eng = _WORKER_ENGINES.get(self.cache_key)
-        if eng is None:
-            eng = _WORKER_ENGINES[self.cache_key] = RuleEngine(**self.engine_kwargs)
-            if len(_WORKER_ENGINES) > 8:  # bound worker-lifetime growth
-                for k in list(_WORKER_ENGINES)[:-4]:
-                    del _WORKER_ENGINES[k]
-        return eng(batch)
-
-
-def _config_key(engine_kwargs: dict) -> str:
-    import hashlib
-
-    try:
-        blob = pickle.dumps(engine_kwargs, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:  # unpicklable kwargs fall back to per-instance key
-        blob = repr(engine_kwargs).encode()
-    return hashlib.md5(blob).hexdigest()
-
 
 def _empty_like(n: int) -> dict[str, list]:
     return {k.name: [] for k in UNION_SCHEMA}
 
 
 class RuleEngine:
-    """Callable class for ``map_batches(RuleEngine, concurrency=N,
-    batch_format='pyarrow', fn_constructor_kwargs=...)``."""
+    """Per-batch-pure callable for ``map_batches(CachedEngineFn(RuleEngine,
+    **engine_kwargs), batch_format='pyarrow')``: a fused task with the
+    engine built once per worker (core/resources.py)."""
 
     def __init__(
         self,
@@ -147,7 +105,7 @@ class RuleEngine:
         stats = self.rules.get("column_stats")
         self.stats_hi = int((stats.params.get("hist_max") if stats else None) or 8192)
 
-        # broadcast small side: resolve ObjectRef once per actor
+        # broadcast small side: resolve ObjectRef once per worker
         ref = self.rules.get("source_ref")
         allowed = allowed_sources
         if allowed is None and ref is not None:
@@ -599,7 +557,7 @@ class RuleEngine:
         """Broadcast hash semi-join probe against the allowed-sources
         dimension — analog of the FK NOT EXISTS anti-joins
         (dds/referential_suite/fact_match_fk.py:16-62): the small dim
-        side is broadcast once per actor; violations are rows whose
+        side is broadcast once per worker; violations are rows whose
         ``source`` has no match."""
         t0 = time.perf_counter()
         src = sub[self.source_col].combine_chunks()

@@ -52,7 +52,7 @@ def test_minhash_dedup_finds_planted_pairs(docs_ds, tmp_path):
     ds, df = docs_ds
     sink = str(tmp_path / "pairs_out")
     pairs = minhash_dedup_pairs(
-        ds, jaccard_threshold=0.5, concurrency=2, sink_dir=sink
+        ds, jaccard_threshold=0.5, sink_dir=sink
     )
     got = set(zip(pairs.id_a, pairs.id_b))
     assert ("doc-003", "doc-010") in got  # exact dup => J=1
@@ -86,12 +86,12 @@ def test_embedding_dups_and_ann(ray_session):
     df = pd.DataFrame({"vec_id": np.arange(100), "embedding": list(V)})
     ds = rd.from_pandas(df)
 
-    pairs = embedding_dup_pairs(ds, cosine_threshold=0.95, concurrency=2)
+    pairs = embedding_dup_pairs(ds, cosine_threshold=0.95)
     assert (7, 50) in set(zip(pairs.id_a, pairs.id_b))
 
     # brute-force top-k vs numpy oracle
     Q = V[[7, 33]]
-    top = brute_force_topk(ds, Q, k=5, concurrency=2)
+    top = brute_force_topk(ds, Q, k=5)
     Vn = V / np.linalg.norm(V, axis=1, keepdims=True)
     Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
     sims = Qn @ Vn.T
@@ -101,7 +101,7 @@ def test_embedding_dups_and_ann(ray_session):
         assert got == want, (qi, got, want)
 
     # IVF recall: top-1 must match exact for the self-query
-    ivf = ivf_topk(ds, Q, k=5, n_cells=8, n_probe=4, concurrency=2)
+    ivf = ivf_topk(ds, Q, k=5, n_cells=8, n_probe=4)
     self_hit = ivf[(ivf.query_id == 0) & (ivf["rank"] == 1)].vec_id.iloc[0]
     assert int(self_hit) == 7
 
@@ -152,6 +152,7 @@ def test_relational_ops(ray_session):
 def test_multimodal_plumbing(ray_session):
     import ray.data as rd
 
+    from etl_data_validation_kio_ray.core.resources import CachedEngineFn
     from etl_data_validation_kio_ray.multimodal import ImageFeatureStage, multimodal_schema
 
     schema = multimodal_schema("image")
@@ -167,14 +168,14 @@ def test_multimodal_plumbing(ray_session):
     t = pa.table(rows, schema=schema)
     ds = rd.from_arrow(t)
     out = ds.map_batches(
-        ImageFeatureStage, batch_format="pyarrow", batch_size=4, concurrency=2
+        CachedEngineFn(ImageFeatureStage), batch_format="pyarrow", batch_size=4
     ).to_pandas()
     assert len(out) == 10
     assert set(out.decoder) == {"stub"}  # PIL absent in this container
     assert all(len(f) == 32 for f in out.features)
     # deterministic: same payload -> same features
     out2 = ds.map_batches(
-        ImageFeatureStage, batch_format="pyarrow", batch_size=4, concurrency=2
+        CachedEngineFn(ImageFeatureStage), batch_format="pyarrow", batch_size=4
     ).to_pandas()
     a = np.stack(out.sort_values("doc_id").features.to_numpy())
     b = np.stack(out2.sort_values("doc_id").features.to_numpy())
@@ -196,7 +197,7 @@ def test_minhash_truncation_loud(docs_ds, monkeypatch):
     monkeypatch.setattr(mh, "MAX_BUCKET", 10)
     report: dict = {}
     pairs = mh.minhash_dedup_pairs(
-        rd.from_pandas(df), jaccard_threshold=0.5, concurrency=2, report=report
+        rd.from_pandas(df), jaccard_threshold=0.5, report=report
     )
     assert report["truncated_buckets"] > 0
     assert pairs.attrs["truncated_buckets"] == report["truncated_buckets"]
@@ -237,7 +238,7 @@ def test_embedding_truncation_loud(ray_session, monkeypatch):
     monkeypatch.setattr(em, "MAX_BUCKET", 6)
     report: dict = {}
     pairs = em.embedding_dup_pairs(
-        rd.from_pandas(df), cosine_threshold=0.99, concurrency=2, report=report
+        rd.from_pandas(df), cosine_threshold=0.99, report=report
     )
     assert report["truncated_buckets"] >= 1
     assert pairs.attrs["truncated_buckets"] == report["truncated_buckets"]
@@ -320,11 +321,11 @@ def test_embedding_multitable_lsh_recall(ray_session):
         V[b] = V[a] + rng.standard_normal(64).astype(np.float32) * 0.02
     df = pd.DataFrame({"vec_id": np.arange(300), "embedding": list(V)})
     ds = rd.from_pandas(df)
-    pairs = embedding_dup_pairs(ds, cosine_threshold=0.95, n_tables=8, concurrency=2)
+    pairs = embedding_dup_pairs(ds, cosine_threshold=0.95, n_tables=8)
     got = set(zip(pairs.id_a, pairs.id_b))
     assert set(planted) <= got, (planted, got)
     # determinism: same result on a re-run
-    pairs2 = embedding_dup_pairs(ds, cosine_threshold=0.95, n_tables=8, concurrency=2)
+    pairs2 = embedding_dup_pairs(ds, cosine_threshold=0.95, n_tables=8)
     assert got == set(zip(pairs2.id_a, pairs2.id_b))
 
 
@@ -353,7 +354,7 @@ def test_ivf_fullprobe_equals_bruteforce(ray_session):
     ds = rd.from_pandas(df).repartition(6)
     Q = V[:4]
     bf = brute_force_topk(ds, Q, k=8, dtype=np.float32)
-    ivf = ivf_topk(ds, Q, k=8, n_cells=6, n_probe=6, concurrency=2)
+    ivf = ivf_topk(ds, Q, k=8, n_cells=6, n_probe=6)
     a = bf.sort_values(["query_id", "rank"]).reset_index(drop=True)
     b = ivf.sort_values(["query_id", "rank"]).reset_index(drop=True)
     assert a[["query_id", "rank", "vec_id"]].equals(b[["query_id", "rank", "vec_id"]])

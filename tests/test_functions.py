@@ -1,5 +1,7 @@
 """Unit tests for hashing / text / tokenize functions vs slow oracles."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -21,6 +23,8 @@ from etl_data_validation_kio_ray.sources.tokenize import (
     VOCAB_SIZE,
     tokenize_batch,
 )
+
+from .test_tpch_queries import SF_DIR
 
 
 def test_tokenize_matches_duckdb_mirror():
@@ -257,18 +261,119 @@ def test_shingle_stats_vectorized_exact():
         textmod._RADIX_LIMIT = old
 
 
-def test_clamp_actor_concurrency(ray_session):
-    """An actor pool must never claim every cluster CPU (observed
-    wedge: pool == num_cpus starves the upstream repartition)."""
-    import ray
+class _Offset:
+    """A stateful stage for the cache tests: state built in __init__."""
 
-    from etl_data_validation_kio_ray.core.resources import clamp_actor_concurrency
+    def __init__(self, k: int):
+        self.k = k
 
-    total = int(ray.cluster_resources()["CPU"])
-    assert clamp_actor_concurrency(total) == total - 1
-    assert clamp_actor_concurrency(total + 10) == total - 1
-    assert clamp_actor_concurrency(2) == 2
-    assert clamp_actor_concurrency(0) == 1
+    def __call__(self, batch):
+        return [x + self.k for x in batch]
+
+
+def test_cached_engine_fn_shares_equal_configs_only(monkeypatch):
+    """Equal (class, kwargs) share one cached instance per worker;
+    other kwargs, or a class defined in a function (its closure is
+    state), never share. The cache stays bounded."""
+    from etl_data_validation_kio_ray.core import resources
+
+    monkeypatch.setattr(resources, "_WORKER_ENGINES", {})
+    a, b = resources.CachedEngineFn(_Offset, k=1), resources.CachedEngineFn(_Offset, k=1)
+    assert a.cache_key == b.cache_key
+    assert a([1, 2]) == [2, 3] and b([5]) == [6]
+    assert len(resources._WORKER_ENGINES) == 1
+    c = resources.CachedEngineFn(_Offset, k=2)
+    assert c.cache_key != a.cache_key and c([1]) == [3]
+
+    def local(k):
+        class Local(_Offset):
+            pass
+
+        return Local
+
+    assert (
+        resources.CachedEngineFn(local(1), k=1).cache_key
+        != resources.CachedEngineFn(local(1), k=1).cache_key
+    )
+    for k in range(3, 3 + 2 * resources._MAX_CACHED):
+        assert resources.CachedEngineFn(_Offset, k=k)([0]) == [k]
+        assert len(resources._WORKER_ENGINES) <= resources._MAX_CACHED
+
+
+# entries that wedged a 1-CPU session while their stateful stage ran as an
+# actor pool (or their join's aggregators reserved the only CPU)
+ONE_CPU_ENTRIES = [
+    "ann_topk",
+    "minhash_pairs",
+    "near_dedup_keep",
+    "volume_shipping",
+    "hard_negatives",
+    "bloom_prefilter_join",
+    "profit_by_nation_year",
+    "part_best_supplier",
+    "part_supplier_counts",
+    "video_frame_sample",
+    "dedup_survivorship",
+    "bloom_decontamination",
+]
+ONE_CPU_ENTRY_TIMEOUT_S = 120
+
+
+@pytest.mark.skipif(not os.path.isdir(SF_DIR), reason="TPC-H test tables absent")
+def test_stateful_entries_finish_on_one_cpu():
+    """Every entry with a stateful map or a shuffle join finishes on a
+    ``num_cpus=1`` session and matches its DuckDB twin: they run through
+    tools/check_oracles.py in a child process (its own Ray session), and
+    each entry must report within ONE_CPU_ENTRY_TIMEOUT_S. A wedge kills
+    the child's process group and its Ray instead of hanging the suite."""
+    import select
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # a session of its own: the child's Ray (gcs, raylet, workers) all
+    # join its process group, so one killpg ends every process it started
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(repo, "tools", "check_oracles.py"),
+         SF_DIR, *ONE_CPU_ENTRIES],
+        cwd=repo, env=dict(os.environ, RAY_GRAFT_CPUS="1"),
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    lines: list[str] = []
+    try:
+        # Ray start-up, then one entry at a time, each with its own bound
+        deadline = time.monotonic() + 2 * ONE_CPU_ENTRY_TIMEOUT_S
+        buf = b""
+        while True:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                pytest.fail(f"1-CPU session wedged after {lines}")
+            ready, _, _ = select.select([proc.stdout], [], [], left)
+            if not ready:
+                continue
+            chunk = os.read(proc.stdout.fileno(), 65536)
+            if not chunk:
+                break
+            buf += chunk
+            *done, buf = buf.split(b"\n")
+            for ln in done:
+                lines.append(ln.decode())
+                deadline = time.monotonic() + ONE_CPU_ENTRY_TIMEOUT_S
+        proc.wait(timeout=60)
+    finally:
+        # a clean exit has already shut its Ray down; this is a no-op then
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=60)
+    results = [ln for ln in lines if ln.split(" ")[0] in ("OK", "ok", "FAIL", "TIMEOUT")]
+    bad = [ln for ln in results if not ln.startswith(("OK", "ok"))]
+    assert not bad, bad
+    assert len(results) == len(ONE_CPU_ENTRIES), lines
+    assert proc.returncode == 0, lines
 
 
 def test_word_doc_freq_matches_duckdb(ray_session):
@@ -1034,6 +1139,20 @@ def test_repetition_flag_stats_planted(ray_session):
     # doc4 '' splits to [''] (n=1): 100% single-word occupancy IS the
     # degenerate case -> word flag fires by design; no 2/3-gram rules.
     assert (b.flag_word, b.flag_2gram, b.flag_dup3, b.flag_any) == (1, 0, 0, 1)
+
+
+def test_dsir_weight_partial_zero_row_batch():
+    """An empty block scores to an empty partial with the full schema,
+    not an IndexError from the per-group min/max segments."""
+    from etl_data_validation_kio_ray.functions.text import _dsir_weight_partial
+
+    t = pa.table(
+        {"source": pa.array([], pa.string()), "text": pa.array([], pa.string())}
+    )
+    out = _dsir_weight_partial(t, np.ones(16, np.int64), "text", "source", 16)
+    assert out.num_rows == 0
+    assert out.schema.names == ["source", "n_docs", "n_words", "sum_w", "min_w", "max_w"]
+    assert out.schema.field("source").type == pa.string()
 
 
 def test_dsir_importance_stats_planted(ray_session):

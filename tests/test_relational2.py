@@ -848,7 +848,6 @@ def test_hash_join_matches_pandas(ray_session):
             rd.from_pandas(right).repartition(3),
             on=("k",),
             right_on=("rk",),
-            num_partitions=4,
         )
         .to_pandas()
         .sort_values(["k", "lv"])

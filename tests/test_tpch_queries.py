@@ -11,6 +11,7 @@ import os
 import duckdb
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 SF_DIR = "/root/testdata/sf0.001"
@@ -301,3 +302,106 @@ def test_revenue_by_region_hybrid_paths_agree(ray_session):
     pd.testing.assert_frame_equal(
         a.reset_index(drop=True), b.reset_index(drop=True)
     )
+
+
+def test_region_partials_empty_broadcast_map():
+    """An empty customer map (every customer filtered away) gives no
+    region partials — not an IndexError from probing an empty array."""
+    import __ray_entry__ as m
+
+    t = pa.table(
+        {
+            "ckey": pa.array([3, 7], pa.int64()),
+            "n_orders": pa.array([1, 1], pa.int64()),
+            "rev_c4": pa.array([10, 20], pa.int64()),
+        }
+    )
+    e = np.empty(0, np.int64)
+    out = m._region_partials(t, e, e, [])
+    assert out.num_rows == 0
+    assert out.column_names == ["r_name", "n_orders", "rev_c4"]
+
+
+def test_region_partials_inner_join_emits_only_hit_regions():
+    """A region with customers but no order in the batch emits no row:
+    the broadcast branch keeps inner-join semantics (a zero-filled row
+    would survive grouped_agg as n_orders=0)."""
+    import __ray_entry__ as m
+
+    t = pa.table(
+        {
+            "ckey": pa.array([1, 1, 9], pa.int64()),
+            "n_orders": pa.array([1, 1, 1], pa.int64()),
+            "rev_c4": pa.array([5, 6, 7], pa.int64()),
+        }
+    )
+    bk = np.array([1, 2], np.int64)  # customer 2 (region B) orders nothing
+    bc = np.array([0, 1], np.int64)
+    out = m._region_partials(t, bk, bc, ["A", "B"]).to_pydict()
+    assert out == {"r_name": ["A"], "n_orders": [2], "rev_c4": [11]}
+
+
+def _revenue_by_region_fixture(sf: str, d, customers) -> str:
+    """sf0.001 copy of the four tables revenue_by_region reads, with the
+    customer table replaced by ``customers(customer_table)``."""
+    import pyarrow.parquet as pq
+
+    for t in ("region", "nation", "orders", "lineitem"):
+        pq.write_table(
+            pq.read_table(os.path.join(sf, f"{t}.parquet")), d / f"{t}.parquet"
+        )
+    cust = pq.read_table(os.path.join(sf, "customer.parquet"))
+    pq.write_table(customers(cust), d / "customer.parquet")
+    return str(d)
+
+
+def _region0_without_orders(c: pa.Table) -> pa.Table:
+    """Region 0's customers are replaced by one customer that places no
+    order (a fresh custkey); their orders then miss the join."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    nat = pq.read_table(os.path.join(SF_DIR, "nation.parquet")).to_pandas()
+    in_r0 = pc.is_in(
+        c["c_nationkey"],
+        pa.array(nat.loc[nat.n_regionkey == 0, "n_nationkey"], c["c_nationkey"].type),
+    )
+    lone = c.filter(in_r0).slice(0, 1)
+    lone = lone.set_column(
+        lone.schema.get_field_index("c_custkey"),
+        "c_custkey",
+        pa.array([pc.max(c["c_custkey"]).as_py() + 1], c["c_custkey"].type),
+    )
+    return pa.concat_tables([c.filter(pc.invert(in_r0)), lone])
+
+
+@pytest.mark.skipif(not os.path.isdir(SF_DIR), reason="TPC-H test tables absent")
+@pytest.mark.parametrize("case", ["no_customers", "region_without_orders"])
+def test_revenue_by_region_degenerate_broadcast(ray_session, tmp_path, case):
+    """Both physical paths of revenue_by_region equal the DuckDB twin on
+    an empty customer map and on a region whose only customer places
+    no order (inner joins drop that region)."""
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as m
+
+    customers = (
+        (lambda c: c.slice(0, 0)) if case == "no_customers" else _region0_without_orders
+    )
+    sf = _revenue_by_region_fixture(SF_DIR, tmp_path, customers)
+    con = duckdb.connect()
+    for t in ("region", "nation", "customer", "orders", "lineitem"):
+        con.execute(
+            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')"
+        )
+    want = _normalize(con.execute(m.oracle_sql()["revenue_by_region"]).df())
+    if case == "region_without_orders":
+        reg = pq.read_table(os.path.join(SF_DIR, "region.parquet")).to_pandas()
+        assert reg.loc[reg.r_regionkey == 0, "r_name"].item() not in set(want["r_name"])
+    cap = m.REVENUE_BY_REGION_CUST_BROADCAST_MAX
+    try:
+        for m.REVENUE_BY_REGION_CUST_BROADCAST_MAX in (cap, 0):
+            got = _normalize(m.queries()["revenue_by_region"](sf))
+            pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    finally:
+        m.REVENUE_BY_REGION_CUST_BROADCAST_MAX = cap

@@ -3,14 +3,23 @@
 compare row count, column names, and order-insensitive values.
 
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
+
+Ray gets ``RAY_GRAFT_CPUS`` CPUs (default 8; ``RAY_GRAFT_CPUS=1`` is the
+1-CPU screen). An entry that runs longer than ``ENTRY_TIMEOUT_S`` prints
+``TIMEOUT <name>``, counts as a failure, and Ray is restarted so the
+wedged execution cannot hold up the next entry.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
+import time
 
 import numpy as np
 import pandas as pd
+
+ENTRY_TIMEOUT_S = 300
 
 
 def to_df(obj) -> pd.DataFrame:
@@ -81,54 +90,89 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     return problems
 
 
-def main():
-    import ray
+def _init_ray():
+    import os
 
-    if not ray.is_initialized():
-        ray.init(
-            address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR"
-        )
+    import ray
     from ray.data import DataContext
 
+    ray.init(
+        address="local",
+        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "8")),
+        include_dashboard=False,
+        logging_level="ERROR",
+    )
     DataContext.get_current().enable_progress_bars = False
 
+
+def run_entry(fn, sf_dir: str, timeout: float):
+    """(frame, error) of one entry, run in a daemon thread so a wedged
+    execution is abandoned after ``timeout`` s; (None, None) on timeout."""
+    box: dict = {}
+
+    def target():
+        try:
+            box["df"] = to_df(fn(sf_dir))
+        except Exception as e:  # noqa: BLE001
+            box["err"] = e
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(timeout)
+    if th.is_alive():
+        return None, None
+    return box.get("df"), box.get("err")
+
+
+def main():
     import duckdb
+    import ray
 
     sys.path.insert(0, ".")
-    import __ray_entry__ as entry
-
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
-    con = duckdb.connect()
-    for t in (
-        "region nation customer supplier part orders lineitem events documents embeddings"
-    ).split():
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
-        )
-
-    qs, oracles = entry.queries(), entry.oracle_sql()
     failures = 0
-    for name, fn in qs.items():
-        if only and name not in only:
-            continue
-        try:
-            ray_df = to_df(fn(sf_dir))
-        except Exception as e:  # noqa: BLE001
-            print(f"FAIL {name}: query raised {e!r}")
-            failures += 1
-            continue
-        if name not in oracles:
-            print(f"ok   {name}: rows={len(ray_df)} (rows-only, no oracle)")
-            continue
-        sql_df = con.execute(oracles[name]).fetchdf()
-        problems = compare(name, ray_df, sql_df)
-        if problems:
-            failures += 1
-            print(f"FAIL {name}: " + "; ".join(problems))
-        else:
-            print(f"OK   {name}: rows={len(ray_df)} hash-comparable")
-    ray.shutdown()
+    try:
+        _init_ray()
+        import __ray_entry__ as entry
+
+        con = duckdb.connect()
+        for t in (
+            "region nation customer supplier part orders lineitem events documents embeddings"
+        ).split():
+            con.execute(
+                f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
+            )
+
+        qs, oracles = entry.queries(), entry.oracle_sql()
+        for name, fn in qs.items():
+            if only and name not in only:
+                continue
+            t0 = time.perf_counter()
+            ray_df, err = run_entry(fn, sf_dir, ENTRY_TIMEOUT_S)
+            secs = f"({time.perf_counter() - t0:.2f} s)"
+            if ray_df is None and err is None:
+                print(f"TIMEOUT {name}", flush=True)
+                failures += 1
+                ray.shutdown()
+                _init_ray()
+                continue
+            if err is not None:
+                print(f"FAIL {name}: query raised {err!r}", flush=True)
+                failures += 1
+                continue
+            if name not in oracles:
+                print(f"ok   {name}: rows={len(ray_df)} (rows-only, no oracle) {secs}", flush=True)
+                continue
+            sql_df = con.execute(oracles[name]).fetchdf()
+            problems = compare(name, ray_df, sql_df)
+            if problems:
+                failures += 1
+                print(f"FAIL {name}: " + "; ".join(problems), flush=True)
+            else:
+                print(f"OK   {name}: rows={len(ray_df)} hash-comparable {secs}", flush=True)
+    finally:
+        ray.shutdown()
     sys.exit(1 if failures else 0)
 
 
