@@ -18688,82 +18688,76 @@ FROM (
     return "\nUNION ALL\n".join(blocks) + "\nORDER BY fd"
 
 
-# ROUND-5 DRIVER SNAPSHOT (VERDICT r4 Next #1): the driver scores only
-# the first ~50 queries() entries, so each round rotates 50
-# never-driver-scored oracle queries to the front.  This head executes
-# the documented plan (tools/ROTATION_r5.md, VERDICT r4 #1): the ten
-# LLM-curation flagships, the 17 never-scored TPC-H shapes, the rest of
-# the dedup family, the token-analytics stack, and the heaviest audited
-# pipelines.  All 50 have oracle_sql() twins and are hash-green under
-# the local bit-exact gate (tools/check_oracles.py); none appear in
-# CORRECTNESS_r01–r04.
+# ROUND-6 SNAPSHOT HEAD: each round's correctness scoring reads only
+# the first ~50 queries() entries, so each round rotates 50 never-scored
+# oracle queries to the front.  This head is the first 50 entries of
+#   [q for q in <registry order below> if q not in CORRECTNESS_r01..r05
+#    and q in oracle_sql()]
+# (tools/ROTATION_r6.md).  All 50 have oracle_sql() twins and are
+# hash-green under the local bit-exact gate (tools/check_oracles.py);
+# tests/test_rotation.py pins both facts against every committed
+# CORRECTNESS_r*.json.
 #
-# DETERMINISTIC ROTATION ORDER FOR FUTURE ROUNDS (VERDICT r4 Next #2):
-# round N's head = the first 50 entries of
+# DETERMINISTIC ROTATION ORDER FOR FUTURE ROUNDS: round N's head = the
+# first 50 entries of
 #   [q for q in queries() if q not in CORRECTNESS_r01..r{N-1}]
 # evaluated in the dict order BELOW the head (i.e. never-scored
 # queries retain their relative registry order and are consumed
-# front-to-back, 50 per round).  With 194 never-scored before this
-# round, rounds 5–8 cover every oracle query; tools/ROTATION_r5.md
-# carries the recompute snippet.  Between rounds, the full-gate sweep
-# log (tools/check_oracles.py exit 0, committed per session) is the
+# front-to-back, 50 per round).  tools/ROTATION_r6.md carries the
+# recompute snippet.  Between rounds, the full-gate sweep log
+# (tools/check_oracles.py exit 0, committed with each change) is the
 # interim certificate for the not-yet-scored tail.
-_R5_SNAPSHOT_HEAD = [
-    # LLM-curation flagships (VERDICT r4 #1 list)
-    "substring_dedup",
-    "dup_spans",
-    "semdedup_pairs",
-    "sequence_packing",
-    "pii_scrub",
-    "incremental_dedup",
-    "curation_pipeline",
-    "cdc_chunk_dedup",
-    "bm25_topk",
-    "dedup_survivorship",
-    # TPC-H core, every never-scored shape (Q6..Q22)
-    "forecast_revenue_q6",
-    "volume_shipping",
-    "national_market_share",
-    "profit_by_nation_year",
-    "returned_top_customers",
-    "important_parts_value",
-    "late_shipment_priority",
-    "customer_order_counts",
-    "promo_revenue_share",
-    "top_supplier_q15",
-    "part_supplier_counts",
-    "small_qty_revenue",
-    "large_order_customers",
-    "disjunctive_revenue",
-    "bulk_part_suppliers",
-    "sole_late_supplier",
-    "idle_rich_customers",
-    # remaining dedup family
-    "sorted_neighborhood_pairs",
-    "edit_distance_pairs",
-    "ngram_jaccard_pairs",
-    "containment_pairs",
-    "cross_source_dup_matrix",
-    "cdc_chunk_stats",
-    # training-data prep + token analytics
-    "doc_chunks",
-    "train_shards",
-    "packing_by_source",
-    "tfidf_terms",
-    "word_pmi",
-    "dup_ngram_rate",
-    "type_token_hapax",
-    "source_token_entropy",
-    "zipf_fit",
-    "heaps_law_fit",
-    # heaviest audited pipelines + sketch state + multimodal
-    "table_profile",
-    "inclusion_deps",
-    "bloom_prefilter_join",
-    "hll_register_audit",
-    "cms_user_counts",
-    "multimodal_payload_audit",
-    "embedding_quantization",
+_R6_SNAPSHOT_HEAD = [
+    "quality_gate_p10",
+    "embedding_outliers",
+    "source_mix_sample",
+    "table_digest",
+    "table_diff",
+    "length_quartiles_by_source",
+    "json_roundtrip",
+    "date_parse_roundtrip",
+    "csv_roundtrip",
+    "lineitem_cube",
+    "props_extract",
+    "pareto_parts",
+    "order_priority_returns",
+    "brand_revenue_rank",
+    "cumulative_monthly_share",
+    "doc_prefix_dups",
+    "event_transitions",
+    "user_event_setops",
+    "source_mad",
+    "label_centroids",
+    "source_temperature_weights",
+    "event_cooccurrence",
+    "lang_source_contingency",
+    "rolling_3mo_revenue",
+    "order_percent_rank",
+    "user_streaks",
+    "ntok_moments",
+    "weekly_revenue",
+    "nation_segments",
+    "cumulative_distinct_users",
+    "top_values_with_ties",
+    "view_purchase_conversion",
+    "schema_evolution_roundtrip",
+    "weighted_median_price",
+    "embedding_covariance",
+    "priority_trend",
+    "source_overlap_matrix",
+    "cohort_retention",
+    "doc_length_survival",
+    "repeat_customer_share",
+    "pushdown_filter_scan",
+    "partitioned_write_roundtrip",
+    "revenue_unpivot",
+    "price_histogram",
+    "scd2_history",
+    "purchase_attribution",
+    "rfm_segments",
+    "incremental_view_merge",
+    "mart_export_digest",
+    "compaction_roundtrip",
 ]
 
 
@@ -18771,7 +18765,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # Dict ORDER is driver-visible: the correctness driver snapshots
     # the first ~50 entries.  The literal below keeps the historical
     # registry order (stable for the deterministic rotation rule — see
-    # _R5_SNAPSHOT_HEAD above); the return reorders so this round's 50
+    # _R6_SNAPSHOT_HEAD above); the return reorders so this round's 50
     # never-scored entries lead.
     full = {
         # --- never driver-scored before round 4 (28) ---
@@ -19059,7 +19053,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bloom_decontamination": q_bloom_decontamination,
         "dedup_removal_budget": q_dedup_removal_budget,
     }
-    head = _R5_SNAPSHOT_HEAD
+    head = _R6_SNAPSHOT_HEAD
     missing = [q for q in head if q not in full]
     if missing or len(set(head)) != len(head):
         raise RuntimeError(f"rotation head invalid: missing={missing}")

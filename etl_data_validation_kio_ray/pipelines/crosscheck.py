@@ -26,19 +26,13 @@ import pandas as pd
 import pyarrow as pa
 
 from ..core.specs import RuleSpec
+from ..stages.rule_engine import ENGINE_COLS, EXPECTED_SCHEMA, rules_vocab_size
 from .validate import RunResult, discover_partition_files
 
-EXPECTED_COLS = ("doc_id", "tokens", "n_tok", "source")
-# what the engine actually reads (ValidationPipeline._columns) — the
-# completeness twin must not OR-over extra physical file columns the
-# engine never sees
-ENGINE_COLS = ("doc_id", "tokens", "n_tok", "source", "partition")
-EXPECTED_TYPES = {
-    "doc_id": pa.string(),
-    "tokens": pa.list_(pa.int32()),
-    "n_tok": pa.int32(),
-    "source": pa.string(),
-}
+# ENGINE_COLS is what the engine actually reads — the completeness twin
+# must not OR-over extra physical file columns the engine never sees
+EXPECTED_COLS = tuple(EXPECTED_SCHEMA.names)
+EXPECTED_TYPES = {f.name: f.type for f in EXPECTED_SCHEMA}
 
 
 def _sql_lit(v: Any) -> str:
@@ -177,7 +171,7 @@ def cross_check_run(
     inv = rules.get("row_invariants")
     min_len = int(inv.params.get("min_len", 1)) if inv else 1
     max_len = int(inv.params.get("max_len", 8192)) if inv else 8192
-    vocab = int(inv.params.get("vocab_size", 50257)) if inv else 50257
+    vocab = rules_vocab_size(rules)
     ref = rules.get("source_ref")
     allowed = ref.params.get("allowed_sources") if ref else None
 

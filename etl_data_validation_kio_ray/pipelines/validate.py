@@ -6,10 +6,18 @@ suite runner /root/reference/src/app2/validators/runner.py:109-228):
 
   read_parquet(pending partition files, pruned columns)
     -> map_batches(CachedEngineFn(RuleEngine))    # all narrow rules, 1 fused task
-    -> write_parquet(raw/, partition_cols=['kind'])  # violations + partials
-  read_parquet(columns=[doc_id, partition])
-    -> groupby(doc_id) dup scan                   # the wide rule
+    -> write_parquet(raw/<shard>/, partition_cols=['kind'])
+                          # violations + stat partials + doc_id hash blobs
+  kind=hash blobs -> id hashes seen twice        # the wide rule: a driver
+                                                 # sort below DRIVER_UNIQUE_MAX_BYTES,
+                                                 # else the bucketed blob exchange
+    -> read_parquet(columns=[doc_id]) exact confirm of the candidates only
   merge partials -> verdicts / metrics / drift -> manifests + summary
+
+Every reader of the raw/ outputs goes through ``_owned_outputs``: a
+partition's rows count only from the shard its SUCCESS manifest names
+(the manifests are the run's lineage), so leftovers of a crashed attempt
+never double-count.
 
 Resume: input is one Parquet file per partition; partitions whose
 manifest is already SUCCESS are pruned from the read (the file is never
@@ -39,7 +47,7 @@ from ..core.specs import RuleSpec, default_rules
 from ..core.verdicts import CheckResult, gate_status, partition_verdict
 from ..sketches import CountingHist, FixedHistogram, HyperLogLog, TDigest
 from ..stages.drift import load_baseline_snapshot, score_drift, build_baseline_snapshot
-from ..stages.rule_engine import RuleEngine
+from ..stages.rule_engine import ENGINE_COLS, ID_COL, PARTITION_COL, RuleEngine, rules_vocab_size
 from ..stages.uniqueness import (
     candidate_hashes_from_blobs,
     confirm_duplicates,
@@ -48,6 +56,8 @@ from ..stages.uniqueness import (
 from ..state.checkpoint import RunState
 
 VIOLATION_COLS = ["rule_id", "doc_id", "partition", "reason"]
+PARTIAL_COLS = ["rule_id", "partition", "payload"]
+HASH_COLS = ["partition", "payload"]
 
 
 @dataclass
@@ -69,19 +79,10 @@ class RunResult:
 
 def load_violations(out_dir: str) -> pa.Table:
     owners = RunState(out_dir).shard_owners()
-    tables = []
-    for d in sorted(
-        glob.glob(os.path.join(out_dir, "raw", "**", "kind=violation"), recursive=True)
-    ):
-        shard = _shard_of(out_dir, d)
-        t = pads.dataset(d).to_table(columns=VIOLATION_COLS)
-        if owners:
-            # keep only rows of partitions this shard OWNS (a crashed
-            # attempt may have left the same partition's rows in an
-            # older shard dir)
-            mine = [p for p, s in owners.items() if s == shard]
-            t = t.filter(pc.is_in(t["partition"], value_set=pa.array(mine, pa.string())))
-        tables.append(t)
+    tables = [
+        _owned_rows(pads.dataset(files).to_table(columns=VIOLATION_COLS), owned)
+        for _, files, owned in _owned_outputs(out_dir, "violation", owners)
+    ]
     for extra in ("unique_violations", "schema_violations"):
         d = os.path.join(out_dir, extra)
         if os.path.isdir(d) and glob.glob(os.path.join(d, "*.parquet")):
@@ -174,11 +175,6 @@ class ValidationPipeline:
         *,
         allowed_sources: list[str] | None = None,
         baseline_snapshot_dir: str | None = None,
-        partition_col: str = "partition",
-        id_col: str = "doc_id",
-        token_col: str = "tokens",
-        len_col: str = "n_tok",
-        source_col: str = "source",
         batch_size: int | None = None,
         shard_size: int = 64,
     ):
@@ -190,28 +186,20 @@ class ValidationPipeline:
 
             self.rules = {**self.rules, "source_ref": replace(self.rules["source_ref"], params=p)}
         self.baseline_snapshot_dir = baseline_snapshot_dir
-        self.partition_col = partition_col
-        self.id_col = id_col
-        self.token_col = token_col
-        self.len_col = len_col
-        self.source_col = source_col
         self.batch_size = batch_size
         self.shard_size = shard_size
 
     # ------------------------------------------------------------ helpers
 
-    def _columns(self) -> list[str]:
-        return [self.id_col, self.token_col, self.len_col, self.source_col, self.partition_col]
-
     def _engine_kwargs(self, allowed_ref) -> dict:
+        """RuleEngine kwargs of every engine this pipeline runs. The
+        vocab is stated here, not left to each rule set: the drift
+        snapshot's stats-only engine has no row_invariants, yet must bin
+        tokens on the same domain as the runs scored against it."""
         return dict(
             rules=self.rules,
-            partition_col=self.partition_col,
-            id_col=self.id_col,
-            token_col=self.token_col,
-            len_col=self.len_col,
-            source_col=self.source_col,
             allowed_sources=allowed_ref,
+            vocab_size=rules_vocab_size(self.rules),
         )
 
     def _allowed_ref(self):
@@ -299,7 +287,9 @@ class ValidationPipeline:
         *,
         input_file: str | None = None,
     ) -> list[CheckResult]:
-        """CheckResults for the single-pass rules of one partition."""
+        """CheckResults for the single-pass rules of one partition (the
+        run's final pass adds the run-scope doc_id_unique and
+        drift_ks_psi checks)."""
         if not rules_states:
             return self._missing_state_checks(part, input_file)
         checks = []
@@ -328,38 +318,21 @@ class ValidationPipeline:
         drift baseline (reference analog: run.py:490-501)."""
         import ray.data as rd
 
-        files = discover_partition_files(input_path)
-        file_list = sorted(files.values())
+        file_list = sorted(discover_partition_files(input_path).values())
         ds = rd.read_parquet(
-            file_list, columns=self._columns(), override_num_blocks=len(file_list)
+            file_list, columns=list(ENGINE_COLS), override_num_blocks=len(file_list)
         )
+        # stats-only rule set, on the run's engine config (vocab)
         stats_rules = {
-            k: v for k, v in self.rules.items() if k in ("column_stats",)
-        } or {"column_stats": default_rules()["column_stats"]}
-        mapped = self._map_engine(
-            ds,
-            dict(
-                rules=stats_rules,
-                partition_col=self.partition_col,
-                id_col=self.id_col,
-                token_col=self.token_col,
-                len_col=self.len_col,
-                source_col=self.source_col,
-            ),
+            "column_stats": self.rules.get("column_stats") or default_rules()["column_stats"]
+        }
+        mapped = self._map_engine(ds, {**self._engine_kwargs(None), "rules": stats_rules})
+        reduced = _reduce_partials(
+            t.filter(pc.equal(t["kind"], "partial"))
+            for t in mapped.iter_batches(batch_format="pyarrow", batch_size=4096)
         )
-        partials: dict[str, dict] = {}
-        for b in mapped.iter_batches(batch_format="pyarrow", batch_size=4096):
-            t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-            t = t.filter(pc.equal(t["kind"], "partial"))
-            for part, payload in zip(
-                t["partition"].to_pylist(), t["payload"].to_pylist()
-            ):
-                st = pickle.loads(payload)
-                partials[part] = _merge_stats(partials[part], st) if part in partials else st
-        glob_state: dict = {}
-        for st in partials.values():
-            glob_state = _merge_stats(glob_state, st) if glob_state else st
-        partials["__global__"] = glob_state
+        partials = {part: rules["column_stats"] for part, rules in reduced.items()}
+        partials["__global__"] = _merge_all(partials.values())
         return build_baseline_snapshot(
             partials, snapshot_dir, meta={"input": input_path}
         )
@@ -398,7 +371,7 @@ class ValidationPipeline:
 
         # owners snapshot read ONCE (each read walks every manifest);
         # kept current incrementally as this run commits shards
-        owners_now = state.shard_owners()
+        owners = state.shard_owners()
 
         # partitions whose input file is unreadable: their verdict rows
         # stay visible (schema FAIL, unreadable_input) but the manifest
@@ -417,7 +390,7 @@ class ValidationPipeline:
             # Pick the first name that is either free or unowned
             # (crashed leftovers); owners-filtering at read time keeps
             # stale rows of reclaimed partitions from double-counting.
-            owned_dirs = set(owners_now.values())
+            owned_dirs = set(owners.values())
             base = f"shard-{shard[0]}"
             shard_name, k = base, 0
             while shard_name in owned_dirs:
@@ -434,7 +407,7 @@ class ValidationPipeline:
                 # group with the columns it actually has — the engine's
                 # schema rule reports the gap
                 for j, (cols, group_files) in enumerate(
-                    _schema_groups([files[p] for p in shard], self._columns())
+                    _schema_groups([files[p] for p in shard], list(ENGINE_COLS))
                 ):
                     # one block per partition file: keeps ReadParquet
                     # -> engine -> Write fused into a single task (no
@@ -453,7 +426,12 @@ class ValidationPipeline:
                     )
                 # commit this shard: per-partition manifests with the
                 # narrow-rule checks (run-scope checks appended later)
-                merged = _reduce_partials(shard_dir)
+                part_files = _kind_files(shard_dir, "partial")
+                merged = _reduce_partials(
+                    [pads.dataset(part_files).to_table(columns=PARTIAL_COLS)]
+                    if part_files
+                    else []
+                )
                 fresh_shard_stats[shard_name] = merged
                 items = []
                 for p in shard:
@@ -466,22 +444,10 @@ class ValidationPipeline:
                         state.fail(p, f"unreadable input file: {files.get(p)}")
                         unreadable_parts[p] = checks
                         continue
-                    items.append(
-                        (
-                            p,
-                            dict(
-                                verdict=partition_verdict(checks),
-                                rows_total=max(
-                                    (c.rows_total for c in checks), default=0
-                                ),
-                                checks=[c.to_dict() for c in checks],
-                                shard=os.path.basename(shard_dir),
-                            ),
-                        )
-                    )
+                    items.append((p, {**_manifest(checks), "shard": shard_name}))
                 state.finish_many(items)
                 for p, _ in items:
-                    owners_now[p] = os.path.basename(shard_dir)
+                    owners[p] = shard_name
             except Exception as e:  # noqa: BLE001 — manifest records the failure
                 for p in shard:
                     state.fail(p, repr(e))
@@ -490,20 +456,28 @@ class ValidationPipeline:
         phases["narrow_pass"] = round(time.time() - t_narrow, 3)
         t_phase = time.time()
 
-        # all partitions' merged stats (this run + prior resumed runs):
-        # re-read the tiny kind=partial outputs of every committed shard,
-        # keeping each partition's state only from its OWNING shard
-        owners = owners_now  # kept current through the shard loop
+        # all partitions' merged stats (this run + prior resumed runs),
+        # each from its OWNING shard: this run's from memory, prior
+        # runs' re-read from their tiny kind=partial outputs
         shard_stats: dict[str, dict[str, dict]] = {}
-        for d in sorted(glob.glob(os.path.join(out_dir, "raw", "shard-*"))):
-            shard_name = os.path.basename(d)
+        for shard_name, part_files, owned in _owned_outputs(out_dir, "partial", owners):
             reduced = fresh_shard_stats.get(shard_name)
             if reduced is None:
-                reduced = _reduce_partials(d)
-            for part, rules_states in reduced.items():
-                if owners.get(part, shard_name) != shard_name:
-                    continue
-                shard_stats[part] = rules_states
+                reduced = _reduce_partials(
+                    [pads.dataset(part_files).to_table(columns=PARTIAL_COLS)]
+                )
+            shard_stats.update((p, reduced[p]) for p in owned if p in reduced)
+        # partitions claimed by a committed shard but with NO batch
+        # output are EMPTY inputs — keep them visible with a WARN
+        for part in all_parts:
+            if part not in shard_stats and part in owners:
+                shard_stats[part] = {}
+        processed = [p for p in all_parts if p in shard_stats]
+        # the run's global stats state, folded once: metrics and drift
+        # both read it
+        global_stats = _merge_all(
+            shard_stats[p].get("column_stats") for p in processed
+        )
 
         # ---- schema-level violations: one row per (partition, issue)
         schema_rows = []
@@ -538,13 +512,14 @@ class ValidationPipeline:
         # NOT re-read unless candidate duplicates need string-level
         # confirmation (stages/uniqueness.py).
         dup_violation_counts: dict[str, int] = {}
-        if "doc_id_unique" in self.rules and self.rules["doc_id_unique"].enabled:
+        uniq_spec = self.rules.get("doc_id_unique")
+        if uniq_spec and uniq_spec.enabled:
             cand = _candidate_hashes(out_dir, owners)
             if cand is None:
                 cand = pa.table({"h": pa.array([], pa.int64())})
             dup_table = pa.table(
                 {
-                    self.id_col: pa.array([], pa.string()),
+                    ID_COL: pa.array([], pa.string()),
                     "dup_count": pa.array([], pa.int64()),
                 }
             )
@@ -555,22 +530,18 @@ class ValidationPipeline:
                 key_files = sorted(
                     f
                     for f in files.values()
-                    if self.id_col in pq.read_schema(f).names
+                    if ID_COL in pq.read_schema(f).names
                 )
-                keys = rd.read_parquet(key_files, columns=[self.id_col])
-                dup_table = confirm_duplicates(keys, cand, self.id_col)
+                keys = rd.read_parquet(key_files, columns=[ID_COL])
+                dup_table = confirm_duplicates(keys, cand, ID_COL)
             uniq_dir = os.path.join(out_dir, "unique_violations")
             if os.path.isdir(uniq_dir):
                 import shutil
 
                 shutil.rmtree(uniq_dir)  # run-scope check is recomputed whole
             if dup_table.num_rows:
-                keys = rd.read_parquet(
-                    key_files, columns=[self.id_col, self.partition_col]
-                )
-                vio = duplicate_violations(
-                    keys, dup_table, self.id_col, self.partition_col
-                )
+                keys = rd.read_parquet(key_files, columns=[ID_COL, PARTITION_COL])
+                vio = duplicate_violations(keys, dup_table, ID_COL, PARTITION_COL)
                 vio.write_parquet(uniq_dir)
                 vt = pads.dataset(uniq_dir).to_table(columns=["partition"])
                 vals, counts = np.unique(
@@ -589,17 +560,13 @@ class ValidationPipeline:
         if drift_spec and drift_spec.enabled and self.baseline_snapshot_dir:
             baseline = load_baseline_snapshot(self.baseline_snapshot_dir)
             cur = {
-                part: rules.get("column_stats", {})
+                part: rules["column_stats"]
                 for part, rules in shard_stats.items()
                 if rules.get("column_stats")
             }
             if cur:
-                g: dict = {}
-                for st in cur.values():
-                    g = _merge_stats(g, st) if g else st
-                cur = {**cur, "__global__": g}
                 drift_scores = score_drift(
-                    cur,
+                    {**cur, "__global__": global_stats},
                     baseline,
                     psi_threshold=float(drift_spec.params.get("psi_threshold", 0.2)),
                     ks_threshold=float(drift_spec.params.get("ks_threshold", 0.15)),
@@ -608,90 +575,42 @@ class ValidationPipeline:
         phases["drift"] = round(time.time() - t_phase, 3)
         t_phase = time.time()
 
-        # ---- verdicts per partition
-        # partitions claimed by a committed shard but with NO batch
-        # output are EMPTY inputs — keep them visible with a WARN
-        for part in all_parts:
-            if part not in shard_stats and part in owners:
-                shard_stats[part] = {}
-
+        # ---- verdicts per partition: the narrow checks plus the two
+        # run-scope ones, in rule order
+        rule_order = {rule_id: i for i, rule_id in enumerate(self.rules)}
         verdicts: list[CheckResult] = []
         metrics: dict[str, Any] = {"partitions": {}}
         finish_items: list[tuple[str, dict]] = []
-        processed = [p for p in all_parts if p in shard_stats]
         for part in processed:
             rules_states = shard_stats[part]
-            checks: list[CheckResult] = []
-            if not rules_states:
-                checks.extend(self._missing_state_checks(part, files.get(part)))
-            rows_total = 0
-            for rule_id, spec in self.rules.items():
-                if not spec.enabled:
-                    continue
-                if rule_id == "doc_id_unique":
-                    rf = dup_violation_counts.get(part, 0)
-                    st = rules_states.get("column_stats", {})
-                    checks.append(
-                        CheckResult(
-                            part, rule_id, gate_status(spec.severity, rf), rf,
-                            st.get("rows_total", 0), spec.severity,
-                        )
-                    )
-                    continue
-                if rule_id == "drift_ks_psi":
-                    if part in drift_scores:
-                        sc = drift_scores[part]
-                        rf = 1 if sc["drifted"] else 0
-                        checks.append(
-                            CheckResult(
-                                part, rule_id, gate_status(spec.severity, rf), rf,
-                                rules_states.get("column_stats", {}).get("rows_total", 0),
-                                spec.severity,
-                                metrics={
-                                    "ks_n_tok": sc["ks_n_tok"],
-                                    "psi_tokens": sc["psi_tokens"],
-                                },
-                            )
-                        )
-                    continue
-                st = rules_states.get(rule_id)
-                if st is None:
-                    continue
-                rows_total = max(rows_total, st.get("rows_total", 0))
+            stats_rows = rules_states.get("column_stats", {}).get("rows_total", 0)
+            checks = self._narrow_checks(part, rules_states, input_file=files.get(part))
+            if uniq_spec and uniq_spec.enabled:
+                rf = dup_violation_counts.get(part, 0)
                 checks.append(
                     CheckResult(
-                        part, rule_id,
-                        gate_status(spec.severity, st.get("rows_failed", 0)),
-                        st.get("rows_failed", 0), st.get("rows_total", 0),
-                        spec.severity,
-                        metrics=_stats_metrics(st) if rule_id == "column_stats" else None,
-                        duration_ms=st.get("duration_ms"),
+                        part, "doc_id_unique", gate_status(uniq_spec.severity, rf), rf,
+                        stats_rows, uniq_spec.severity,
                     )
                 )
-            verdict = partition_verdict(checks)
-            finish_items.append(
-                (
-                    part,
-                    dict(
-                        verdict=verdict,
-                        rows_total=rows_total,
-                        checks=[c.to_dict() for c in checks],
-                    ),
+            if part in drift_scores:
+                sc = drift_scores[part]
+                rf = 1 if sc["drifted"] else 0
+                checks.append(
+                    CheckResult(
+                        part, "drift_ks_psi", gate_status(drift_spec.severity, rf), rf,
+                        stats_rows, drift_spec.severity,
+                        metrics={"ks_n_tok": sc["ks_n_tok"], "psi_tokens": sc["psi_tokens"]},
+                    )
                 )
-            )
+            checks.sort(key=lambda c: rule_order.get(c.rule_id, -1))
+            finish_items.append((part, _manifest(checks)))
             verdicts.extend(checks)
             if "column_stats" in rules_states:
                 metrics["partitions"][part] = _stats_metrics(rules_states["column_stats"])
         state.finish_many(finish_items)
-
-        # global metrics
-        g: dict = {}
-        for part in processed:
-            st = shard_stats[part].get("column_stats")
-            if st:
-                g = _merge_stats(g, st) if g else st
-        if g:
-            metrics["global"] = _stats_metrics(g)
+        if global_stats:
+            metrics["global"] = _stats_metrics(global_stats)
 
         # unreadable inputs: verdict rows visible, manifests FAILED
         for part in sorted(unreadable_parts):
@@ -747,26 +666,53 @@ def discover_partition_files(input_path: str) -> dict[str, str]:
     return out
 
 
-def _hash_row_groups(out_dir: str, owners: dict[str, str]):
-    """[(parquet files, valid-partition list | None, total bytes)] per
-    shard dir holding the engine's kind=hash rows."""
-    groups = []
-    for d in sorted(
-        glob.glob(os.path.join(out_dir, "raw", "**", "kind=hash"), recursive=True)
-    ):
-        pq_files = sorted(glob.glob(os.path.join(d, "*.parquet")))
-        if not pq_files:
-            continue
-        shard = _shard_of(out_dir, d)
-        mine = [p for p, s in owners.items() if s == shard] if owners else None
-        size = sum(os.path.getsize(f) for f in pq_files)
-        groups.append((pq_files, mine, size))
-    return groups
+def _kind_files(shard_dir: str, kind: str) -> list[str]:
+    """Parquet files of one output kind ('violation', 'partial' or
+    'hash') under a raw shard dir, across its schema groups."""
+    return sorted(
+        glob.glob(os.path.join(shard_dir, "**", f"kind={kind}", "*.parquet"), recursive=True)
+    )
+
+
+def _owned_outputs(
+    out_dir: str, kind: str, owners: dict[str, str]
+) -> list[tuple[str, list[str], list[str]]]:
+    """[(shard, files, owned partitions)] of one output kind, for every
+    raw shard dir that owns a partition and holds such files.
+
+    The one shard-ownership rule of the run: a partition's rows count
+    only from the shard its SUCCESS manifest names (``owners``, from
+    RunState.shard_owners). A crashed attempt or a regrouped resume may
+    leave the same partition's rows in another shard dir; readers keep
+    those out by reading only these files and, within them, only the
+    owned partitions' rows (``_owned_rows``)."""
+    by_shard: dict[str, list[str]] = {}
+    for part, shard in sorted(owners.items()):
+        by_shard.setdefault(shard, []).append(part)
+    out = []
+    for shard, owned in sorted(by_shard.items()):
+        files = _kind_files(os.path.join(out_dir, "raw", shard), kind)
+        if files:
+            out.append((shard, files, owned))
+    return out
+
+
+def _owned_rows(t: pa.Table, owned: list[str]) -> pa.Table:
+    return t.filter(pc.is_in(t["partition"], value_set=pa.array(owned, pa.string())))
+
+
+def _manifest(checks: list[CheckResult]) -> dict:
+    """RunState.finish fields of one partition from its checks."""
+    return dict(
+        verdict=partition_verdict(checks),
+        rows_total=max((c.rows_total for c in checks), default=0),
+        checks=[c.to_dict() for c in checks],
+    )
 
 
 # below this, the candidate scan runs on the DRIVER (one exact
-# np.unique over all id hashes) instead of a distributed bucket
-# shuffle — the broadcast-vs-shuffle style size cutoff. 1 GiB of
+# np.unique over all id hashes) instead of the distributed bucketed
+# blob exchange — the broadcast-vs-shuffle style size cutoff. 1 GiB of
 # hash blobs ≈ 130M ids; beyond that the distributed path keeps
 # driver memory bounded.
 DRIVER_UNIQUE_MAX_BYTES = 1 << 30
@@ -776,12 +722,10 @@ def _candidate_hashes(out_dir: str, owners: dict[str, str]) -> pa.Table | None:
     """Small table ("h": int64) of id hashes seen more than once, or
     None when no hash rows exist. Chooses driver-side exact scan vs
     distributed bucket shuffle by total hash volume."""
-    import numpy as np
-
-    groups = _hash_row_groups(out_dir, owners)
+    groups = _owned_outputs(out_dir, "hash", owners)
     if not groups:
         return None
-    total = sum(size for _, _, size in groups)
+    total = sum(os.path.getsize(f) for _, files, _ in groups for f in files)
     if total <= DRIVER_UNIQUE_MAX_BYTES:
         from ..stages.uniqueness import dup_values, writable_blob_hashes
 
@@ -792,12 +736,8 @@ def _candidate_hashes(out_dir: str, owners: dict[str, str]) -> pa.Table | None:
         # discarded, so mutating their payload buffers is safe)
         chunks: list = []
         keepalive: list = []
-        for pq_files, mine, _ in groups:
-            t = pads.dataset(pq_files).to_table(columns=["partition", "payload"])
-            if mine is not None:
-                t = t.filter(
-                    pc.is_in(t["partition"], value_set=pa.array(mine, pa.string()))
-                )
+        for _, files, owned in groups:
+            t = _owned_rows(pads.dataset(files).to_table(columns=HASH_COLS), owned)
             h, ka = writable_blob_hashes(t["payload"])
             if len(h):
                 chunks.append(h)
@@ -810,33 +750,17 @@ def _candidate_hashes(out_dir: str, owners: dict[str, str]) -> pa.Table | None:
         out = pa.table({"h": pa.array(dup_values(h, sort_inplace=True), pa.int64())})
         del h, chunks, keepalive
         return out
-    return candidate_hashes_from_blobs(_hash_rows_dataset_from_groups(groups))
 
-
-def _hash_rows_dataset_from_groups(groups):
-    """Lazy owners-filtered Dataset over hash-row parquet files."""
     import ray.data as rd
 
-    parts_ds = []
-    for pq_files, mine, _ in groups:
-        ds = rd.read_parquet(pq_files, columns=["partition", "payload"])
-        if mine is not None:
-            keep = pa.array(mine, pa.string())
-            ds = ds.map_batches(
-                lambda t, keep=keep: t.filter(pc.is_in(t["partition"], value_set=keep)),
-                batch_format="pyarrow",
-            )
-        parts_ds.append(ds)
-    out = parts_ds[0]
-    for other in parts_ds[1:]:
-        out = out.union(other)
-    return out
-
-
-def _shard_of(out_dir: str, nested_path: str) -> str:
-    """raw shard dir name containing ``nested_path``."""
-    rel = os.path.relpath(nested_path, os.path.join(out_dir, "raw"))
-    return rel.split(os.sep)[0]
+    parts_ds = [
+        rd.read_parquet(files, columns=HASH_COLS).map_batches(
+            lambda t, owned=owned: _owned_rows(t, owned), batch_format="pyarrow"
+        )
+        for _, files, owned in groups
+    ]
+    ds, *rest = parts_ds
+    return candidate_hashes_from_blobs(ds.union(*rest) if rest else ds)
 
 
 def _schema_groups(paths: list[str], want: list[str]):
@@ -871,13 +795,11 @@ def _schema_groups(paths: list[str], want: list[str]):
     return [(list(cols), files) for cols, files in sorted(groups.items())]
 
 
-def _reduce_partials(shard_dir: str) -> dict[str, dict[str, dict]]:
-    """Read back the (tiny) partial rows of one shard and merge states
-    per (partition, rule)."""
+def _reduce_partials(tables) -> dict[str, dict[str, dict]]:
+    """The one row fold: merge partial rows (rule_id, partition,
+    payload) of the given tables per (partition, rule)."""
     out: dict[str, dict[str, dict]] = {}
-    pdirs = sorted(glob.glob(os.path.join(shard_dir, "**", "kind=partial"), recursive=True))
-    for pdir in pdirs:
-        t = pads.dataset(pdir).to_table(columns=["rule_id", "partition", "payload"])
+    for t in tables:
         for rule_id, part, payload in zip(
             t["rule_id"].to_pylist(), t["partition"].to_pylist(), t["payload"].to_pylist()
         ):
@@ -885,3 +807,13 @@ def _reduce_partials(shard_dir: str) -> dict[str, dict[str, dict]]:
             slot = out.setdefault(part, {})
             slot[rule_id] = _merge_stats(slot[rule_id], st) if rule_id in slot else st
     return out
+
+
+def _merge_all(states) -> dict:
+    """The one global fold: merge the given stats states ({} for none;
+    empty or None states are skipped)."""
+    g: dict = {}
+    for st in states:
+        if st:
+            g = _merge_stats(g, st) if g else st
+    return g

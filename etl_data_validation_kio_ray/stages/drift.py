@@ -26,6 +26,7 @@ import numpy as np
 
 from ..sketches import FixedHistogram
 from ..sketches.hist import ks_stat, psi
+from .rule_engine import ID_COL, VOCAB_SIZE, RuleEngine
 
 # v2: token-histogram domain became [0, ceil(vocab/bins)*bins) with
 # integer bin widths (rule_engine.bin_width) — v1 snapshots bin on the
@@ -62,10 +63,16 @@ def build_baseline_snapshot(
     return out_dir
 
 
-def load_baseline_snapshot(snapshot_dir: str) -> dict:
-    path = os.path.join(snapshot_dir, "snapshot.pkl")
-    with open(path, "rb") as f:
-        payload = pickle.load(f)
+def load_baseline_snapshot(snapshot) -> dict:
+    """The versioned baseline payload from a snapshot dir, or from a
+    ``ray.put`` ObjectRef of that payload. Raises on a version mismatch."""
+    import ray
+
+    if isinstance(snapshot, ray.ObjectRef):
+        payload = ray.get(snapshot)
+    else:
+        with open(os.path.join(snapshot, "snapshot.pkl"), "rb") as f:
+            payload = pickle.load(f)
     if payload.get("version") != SNAPSHOT_VERSION:
         raise ValueError(
             f"baseline snapshot version {payload.get('version')} != {SNAPSHOT_VERSION}"
@@ -95,31 +102,12 @@ class DriftScorer:
         self,
         snapshot,
         *,
-        partition_col: str = "partition",
-        len_col: str = "n_tok",
-        token_col: str = "tokens",
-        source_col: str = "source",
-        vocab_size: int = 50257,
+        vocab_size: int = VOCAB_SIZE,
         psi_threshold: float = 0.2,
         ks_threshold: float = 0.15,
         min_tokens_per_source: int = 2560,
     ):
-        import ray
-
-        if isinstance(snapshot, ray.ObjectRef):
-            payload = ray.get(snapshot)
-            if payload.get("version") != SNAPSHOT_VERSION:
-                raise ValueError(
-                    f"baseline snapshot version {payload.get('version')} != {SNAPSHOT_VERSION}"
-                )
-        else:
-            payload = load_baseline_snapshot(snapshot)
-        self.base = payload["stats"]
-        self.partition_col = partition_col
-        self.len_col = len_col
-        self.token_col = token_col
-        self.source_col = source_col
-        self.vocab_size = vocab_size
+        self.base = load_baseline_snapshot(snapshot)["stats"]
         self.psi_threshold = psi_threshold
         self.ks_threshold = ks_threshold
         # a batch is a SAMPLE: a source with few tokens in this batch
@@ -130,22 +118,18 @@ class DriftScorer:
 
         # the stats kernel is compiled once per worker too (it would
         # otherwise rebuild rule specs on every batch of the hot path)
-        from .rule_engine import RuleEngine
         from ..core.specs import default_rules
 
         self._engine = RuleEngine(
-            {"column_stats": default_rules()["column_stats"]},
-            partition_col=partition_col,
-            len_col=len_col,
-            token_col=token_col,
-            source_col=source_col,
-            id_col="__absent__",
-            vocab_size=vocab_size,
+            {"column_stats": default_rules()["column_stats"]}, vocab_size=vocab_size
         )
 
     def __call__(self, batch):
         import pyarrow as pa
 
+        if ID_COL in batch.column_names:
+            # the doc_id HLL is no drift signal: keep the kernel off it
+            batch = batch.drop_columns([ID_COL])
         union = self._engine(batch)
         rows = {"partition": [], "ks_n_tok": [], "psi_tokens": [], "drifted": []}
         for part, blob in zip(
@@ -185,6 +169,19 @@ class DriftScorer:
         )
 
 
+def _same_shape(base: dict, cur: dict, what: str) -> tuple[FixedHistogram, FixedHistogram]:
+    """Both histogram states, or ValueError when their bins differ: KS and
+    PSI compare bin by bin, so a snapshot binned on another domain (say,
+    another vocab_size) would score as drift instead of failing."""
+    b, c = FixedHistogram.from_state(base), FixedHistogram.from_state(cur)
+    if (b.lo, b.hi, b.nbins) != (c.lo, c.hi, c.nbins):
+        raise ValueError(
+            f"drift histogram {what}: baseline bins (lo, hi, nbins)="
+            f"{(b.lo, b.hi, b.nbins)} != current {(c.lo, c.hi, c.nbins)}"
+        )
+    return b, c
+
+
 def score_drift(
     current: dict[str, dict],
     baseline: dict,
@@ -194,7 +191,7 @@ def score_drift(
 ) -> dict[str, dict]:
     """Per-partition (and global) KS on n_tok + max per-source PSI on
     token-value histograms. Returns {partition: {ks_n_tok, psi_tokens,
-    drifted, detail}}; raises on baseline shape mismatch."""
+    drifted, detail}}; raises ValueError on a baseline bin mismatch."""
     base_stats = baseline["stats"]
     out: dict[str, dict] = {}
     for part, cur in current.items():
@@ -203,9 +200,9 @@ def score_drift(
             raise ValueError(f"baseline snapshot has no stats for partition {part!r}")
         res: dict = {"ks_n_tok": 0.0, "psi_tokens": 0.0, "per_source_psi": {}}
         if "n_tok_fixed" in cur and "n_tok_fixed" in base:
-            ch = FixedHistogram.from_state(cur["n_tok_fixed"])
-            bh = FixedHistogram.from_state(base["n_tok_fixed"])
-            res["ks_n_tok"] = ks_stat(bh, ch)
+            res["ks_n_tok"] = ks_stat(
+                *_same_shape(base["n_tok_fixed"], cur["n_tok_fixed"], f"{part} n_tok")
+            )
         cur_th = cur.get("token_hists") or {}
         base_th = base.get("token_hists") or {}
         worst = 0.0
@@ -216,10 +213,7 @@ def score_drift(
                 res["per_source_psi"][src] = float("inf")
                 worst = float("inf")
                 continue
-            v = psi(
-                FixedHistogram.from_state(base_th[src]),
-                FixedHistogram.from_state(state),
-            )
+            v = psi(*_same_shape(base_th[src], state, f"{part} tokens[{src}]"))
             res["per_source_psi"][src] = v
             worst = max(worst, v)
         res["psi_tokens"] = worst

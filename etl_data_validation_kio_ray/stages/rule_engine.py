@@ -15,16 +15,20 @@ Output is a union table so ONE scan of the input produces both
 violation rows and mergeable stat partials (at 100 TB a second scan is
 the thing to avoid):
 
-    kind:      'violation' | 'partial'
+    kind:      'violation' | 'partial' | 'hash'
     rule_id:   string
     partition: string
-    doc_id:    string  (null for partials)
-    reason:    string  (null for partials)
-    payload:   binary  (pickled partial state; null for violations)
+    doc_id:    string  (null for partials and hashes)
+    reason:    string  (null for partials and hashes)
+    payload:   binary  (pickled partial state; for 'hash', the batch's
+                        64-bit doc_id hashes back to back; null for
+                        violations)
 
-Wide rules (doc_id uniqueness) cannot be computed in a narrow pass —
-see stages/uniqueness.py; drift partials are produced here and scored
-against the baseline in stages/drift.py.
+Wide rules (doc_id uniqueness) cannot be computed in a narrow pass: the
+engine emits one 'hash' row per (batch, partition) and the run-scope
+scan in pipelines/validate.py finds repeats among them
+(stages/uniqueness.py confirms them exactly). Drift partials are
+produced here and scored against the baseline in stages/drift.py.
 """
 
 from __future__ import annotations
@@ -52,6 +56,21 @@ UNION_SCHEMA = pa.schema(
     ]
 )
 
+# the token table's columns (FIXTURES.md F1), in the order the engine
+# reads them: every stage of the flagship names them through this
+ENGINE_COLS = ("doc_id", "tokens", "n_tok", "source", "partition")
+ID_COL, TOKEN_COL, LEN_COL, SOURCE_COL, PARTITION_COL = ENGINE_COLS
+EXPECTED_SCHEMA = pa.schema(
+    [
+        (ID_COL, pa.string()),
+        (TOKEN_COL, pa.list_(pa.int32())),
+        (LEN_COL, pa.int32()),
+        (SOURCE_COL, pa.string()),
+    ]
+)
+
+VOCAB_SIZE = 50257  # token vocabulary when row_invariants sets none
+
 # drift histogram shapes (FIXTURES.md F3)
 NTOK_BINS = 64
 TOKEN_BINS = 256
@@ -63,6 +82,15 @@ def bin_width(vocab_size: int) -> int:
     the vocab — bin edges stay integral so binning is one int32
     divide."""
     return -(-vocab_size // TOKEN_BINS)
+
+
+def rules_vocab_size(rules: dict[str, RuleSpec]) -> int:
+    """Token vocabulary a rule set declares: ``row_invariants``'
+    ``vocab_size`` when that rule is enabled, else VOCAB_SIZE."""
+    inv = rules.get("row_invariants")
+    if inv is None or not inv.enabled:
+        return VOCAB_SIZE
+    return int(inv.params.get("vocab_size", VOCAB_SIZE))
 
 
 def _empty_like(n: int) -> dict[str, list]:
@@ -78,28 +106,20 @@ class RuleEngine:
         self,
         rules: dict[str, RuleSpec],
         *,
-        partition_col: str | None = "partition",
-        id_col: str = "doc_id",
-        token_col: str = "tokens",
-        len_col: str = "n_tok",
-        source_col: str = "source",
         allowed_sources: Any = None,  # list | ObjectRef | None
-        max_len: int = 8192,
-        vocab_size: int = 50257,
+        vocab_size: int | None = None,
     ):
         import ray
 
         self.rules = {r.rule_id: r for r in rules.values() if r.enabled}
-        self.partition_col = partition_col
-        self.id_col = id_col
-        self.token_col = token_col
-        self.len_col = len_col
-        self.source_col = source_col
 
         inv = self.rules.get("row_invariants")
         self.min_len = int(inv.params.get("min_len", 1)) if inv else 1
-        self.max_len = int(inv.params.get("max_len", max_len)) if inv else max_len
-        self.vocab_size = int(inv.params.get("vocab_size", vocab_size)) if inv else vocab_size
+        self.max_len = int(inv.params.get("max_len", 8192)) if inv else 8192
+        # ``vocab_size`` overrides the rule's: it also sets the token
+        # histogram domain, which a stats-only engine (drift snapshot)
+        # must share with the full rule set it is compared against
+        self.vocab_size = vocab_size if vocab_size is not None else rules_vocab_size(rules)
         # stats histogram domain is independent of the invariant range:
         # a tight max_len must not clip the n_tok distribution stats
         stats = self.rules.get("column_stats")
@@ -114,15 +134,6 @@ class RuleEngine:
             allowed = ray.get(allowed)
         self.allowed_sources = (
             pa.array(sorted(set(allowed)), pa.string()) if allowed is not None else None
-        )
-
-        self.expected_schema = pa.schema(
-            [
-                (self.id_col, pa.string()),
-                (self.token_col, pa.list_(pa.int32())),
-                (self.len_col, pa.int32()),
-                (self.source_col, pa.string()),
-            ]
         )
 
     # ------------------------------------------------------------------ util
@@ -148,13 +159,13 @@ class RuleEngine:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = _empty_like(0)
-        if self.partition_col and self.partition_col in batch.column_names:
-            parts = pc.unique(batch[self.partition_col])
+        if PARTITION_COL in batch.column_names:
+            parts = pc.unique(batch[PARTITION_COL])
             if len(parts) == 1:
                 self._process(batch, str(parts[0].as_py()), out)
             else:
                 for pval in sorted(p.as_py() for p in parts):
-                    mask = pc.equal(batch[self.partition_col], pa.scalar(pval))
+                    mask = pc.equal(batch[PARTITION_COL], pa.scalar(pval))
                     self._process(batch.filter(mask), str(pval), out)
         else:
             self._process(batch, "all", out)
@@ -176,7 +187,7 @@ class RuleEngine:
 
         # ids stay Arrow; materialized to Python ONLY for the (rare)
         # violating rows via take — never a full to_pylist per batch
-        ids_arr = sub[self.id_col].combine_chunks() if self.id_col in cols else None
+        ids_arr = sub[ID_COL].combine_chunks() if ID_COL in cols else None
 
         def take_ids(idx: np.ndarray) -> list:
             if ids_arr is None:
@@ -192,8 +203,8 @@ class RuleEngine:
         # parquet-decoded blocks) the child `.values` IS the flattened
         # array, zero-copy; otherwise fall back to list_flatten (copy).
         tokens = lens_np = flat_np = None
-        if self.token_col in cols:
-            tokens = sub[self.token_col].combine_chunks()
+        if TOKEN_COL in cols:
+            tokens = sub[TOKEN_COL].combine_chunks()
             lens = pc.list_value_length(tokens)
             lens_np = (
                 pc.fill_null(lens, -1).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -216,8 +227,8 @@ class RuleEngine:
                 flat_np = pc.list_flatten(tokens).to_numpy(zero_copy_only=False)
 
         n_tok_np = None
-        if self.len_col in cols:
-            n_tok = sub[self.len_col].combine_chunks()
+        if LEN_COL in cols:
+            n_tok = sub[LEN_COL].combine_chunks()
             n_tok_np = (
                 pc.fill_null(n_tok, -1).to_numpy(zero_copy_only=False).astype(np.int64)
             )
@@ -260,7 +271,7 @@ class RuleEngine:
                 partition, out, take_ids, nrows, lens_np, n_tok_np, flat_np,
                 tok_max_u=tok_max_u,
             )
-        if "source_ref" in self.rules and self.allowed_sources is not None and self.source_col in cols:
+        if "source_ref" in self.rules and self.allowed_sources is not None and SOURCE_COL in cols:
             self._rule_source_ref(sub, partition, out, take_ids)
         if "column_stats" in self.rules or "drift_ks_psi" in self.rules:
             self._rule_stats(
@@ -350,8 +361,8 @@ class RuleEngine:
         gated = np.flatnonzero(~keep)
         if len(gated):
             ids_arr = (
-                sub[self.id_col].combine_chunks()
-                if self.id_col in sub.column_names
+                sub[ID_COL].combine_chunks()
+                if ID_COL in sub.column_names
                 else None
             )
             ids = (
@@ -399,7 +410,7 @@ class RuleEngine:
                     out, "schema_types", partition, take_ids(bad), reasons
                 )
                 rows_failed += len(bad)
-        for f in self.expected_schema:
+        for f in EXPECTED_SCHEMA:
             if f.name not in sub.column_names:
                 schema_errors.append(f"column '{f.name}' missing")
                 rows_failed += nrows
@@ -414,7 +425,7 @@ class RuleEngine:
                 )
                 rows_failed += nrows
         # required (non-null) id + tokens
-        for col in (self.id_col, self.token_col):
+        for col in (ID_COL, TOKEN_COL):
             if col not in sub.column_names:
                 continue
             arr = sub[col]
@@ -560,7 +571,7 @@ class RuleEngine:
         side is broadcast once per worker; violations are rows whose
         ``source`` has no match."""
         t0 = time.perf_counter()
-        src = sub[self.source_col].combine_chunks()
+        src = sub[SOURCE_COL].combine_chunks()
         ok = pc.is_in(src, value_set=self.allowed_sources)
         bad_mask = pc.fill_null(pc.invert(ok), True)
         bad = np.flatnonzero(bad_mask.to_numpy(zero_copy_only=False))
@@ -600,13 +611,13 @@ class RuleEngine:
             state["n_tok_hist"] = ch.to_state()
             state["n_tok_tdigest"] = td.to_state()
             state["n_tok_fixed"] = nh.to_state()
-        if ids_hash is None and self.id_col in sub.column_names:
-            arr = sub[self.id_col].combine_chunks()
+        if ids_hash is None and ID_COL in sub.column_names:
+            arr = sub[ID_COL].combine_chunks()
             vals = arr.drop_null().to_numpy(zero_copy_only=False)
             ids_hash = hash64(vals)
         if ids_hash is not None:
             state["doc_id_hll"] = HyperLogLog().update_hashed(ids_hash).to_state()
-        if flat_np is not None and self.source_col in sub.column_names and lens_np is not None:
+        if flat_np is not None and SOURCE_COL in sub.column_names and lens_np is not None:
             # per-source token histograms in ONE vectorized pass:
             # dictionary-encode source -> small int codes, repeat per
             # token, then a single 2-D bincount over
@@ -616,7 +627,7 @@ class RuleEngine:
             # traffic at ~2 int32 passes over the flat array instead of
             # a float64 round-trip — this stage runs on every token of
             # the corpus, so bytes-per-token is the scaling cost.
-            src = sub[self.source_col].combine_chunks()
+            src = sub[SOURCE_COL].combine_chunks()
             dict_arr = pc.dictionary_encode(src)
             names = dict_arr.dictionary.to_pylist()
             # fill_null BEFORE to_numpy: null indices otherwise surface

@@ -7,13 +7,17 @@ at E, :148-169 at T) and the in-payload ``_find_duplicates``
 
 Scale design (SURVEY.md §7.3):
 
-  1. The shuffle moves ONLY an 8-byte hash per row: the key scan
+  1. The exchange moves ONLY an 8-byte hash per row: the key scan
      (`read_parquet(columns=[id_col])`, heavy ``tokens`` column pruned
-     at the read) is mapped to ``hash64(doc_id)`` and the
-     ``groupby(h).count()`` shuffle exchanges int64s — at 10^12 rows
-     that is the difference between shuffling ~8 TB and shuffling the
-     full multi-hundred-TB id strings. High-cardinality uniform key,
-     no salting needed.
+     at the read) is mapped to ``hash64(doc_id)``, each batch's hashes
+     become one blob, and :func:`candidate_hashes_from_blobs` splits
+     every blob map-side into per-bucket sub-blobs before a
+     ``groupby(bucket)`` exchange — at 10^12 rows that is the
+     difference between shuffling ~8 TB and shuffling the full
+     multi-hundred-TB id strings, and the exchange sorts #blobs x
+     buckets rows, not one row per id. Every distributed duplicate
+     scan of the package (content hashes, LSH bucket keys) is a
+     projection into this one exchange.
   2. Candidate hashes with count>1 are a SMALL set (true duplicates +
      ~n²/2⁶⁴ expected 64-bit collisions). They are collected to the
      driver and broadcast.
@@ -129,42 +133,38 @@ def _id_hashes(t: pa.Table, id_col: str) -> np.ndarray:
     return hash64(ids.to_numpy(zero_copy_only=False)).view(np.int64)
 
 
+def _as_blob(h) -> pa.Table:
+    """One batch's int64 values as a single blob row: the projection
+    every caller makes into the exchange of candidate_hashes_from_blobs."""
+    h = np.ascontiguousarray(h, dtype=np.int64)
+    return pa.table({"payload": pa.array([h.tobytes()] if len(h) else [], pa.binary())})
+
+
 def dup_int64_column(ds, col: str = "h", *, num_buckets: int = 256) -> pa.Table:
     """Distinct int64 values of ``col`` occurring more than once
     GLOBALLY -> small pyarrow.Table ("h": int64).
 
-    The generic distributed duplicate scan: every value lands in bucket
-    ``value % num_buckets`` (map-side projection, 12 bytes/row through
-    the exchange), the low-cardinality ``groupby('b')`` shuffle brings
-    each bucket to one reducer, and one sort-based ``dup_values`` pass
-    per bucket sees every occurrence. Callers feed PRE-MIXED hashes
-    (splitmix64-style) so the modulo is uniform. Used by exact-dedup
-    content hashes and the MinHash/SimHash LSH bucket-key scans."""
-    nb = np.int64(num_buckets)
+    The generic distributed duplicate scan: each batch's values become
+    one blob, fed to the bucketed blob exchange of
+    :func:`candidate_hashes_from_blobs`. Callers feed PRE-MIXED hashes
+    (splitmix64-style) so the bucket modulo is uniform. Used by
+    exact-dedup content hashes and the MinHash/SimHash LSH bucket-key
+    scans."""
 
     def project(t: pa.Table) -> pa.Table:
-        h = t[col].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"h": t[col], "b": pa.array((h % nb).astype(np.int32))}
-        )
+        return _as_blob(t[col].combine_chunks().drop_null().to_numpy(zero_copy_only=False))
 
-    def bucket_dups(g: pa.Table) -> pa.Table:
-        h = g["h"].to_numpy(zero_copy_only=False)
-        return pa.table({"h": pa.array(dup_values(h), pa.int64())})
-
-    return _collect(
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(bucket_dups, batch_format="pyarrow"),
-        pa.schema([("h", pa.int64())]),
+    return candidate_hashes_from_blobs(
+        ds.map_batches(project, batch_format="pyarrow"), num_buckets=num_buckets
     )
 
 
 def candidate_hashes_from_blobs(hash_ds, *, num_buckets: int = 256) -> pa.Table:
-    """Dataset[(partition, payload: binary uint64-hash blob)] -> small
+    """Dataset[(payload: binary int64-hash blob, ...)] -> small
     pyarrow.Table ("h": int64) of hashes occurring more than once
-    globally. All rows of a hash land in one ``h % num_buckets`` bucket,
-    so one ``np.unique`` per bucket sees every occurrence.
+    globally: the one distributed duplicate-scan exchange. All copies of
+    a hash land in one ``h % num_buckets`` bucket, so one sort per
+    bucket sees every occurrence.
 
     Map-side partitioning: each input blob is split into per-bucket
     sub-blobs BEFORE the exchange, so the ``groupby('b')`` shuffle sorts
@@ -255,13 +255,10 @@ def duplicate_id_counts(
     keys_ds, id_col: str = "doc_id", *, num_buckets: int | None = None
 ) -> pa.Table:
     """Dataset[(id_col, ...)] -> pyarrow.Table (id_col, dup_count) of ids
-    seen more than once. Exact (collision-checked); the shuffle carries
-    only int64 hashes.
+    seen more than once. Exact (collision-checked); the exchange
+    (:func:`candidate_hashes_from_blobs`) carries only int64 hashes, one
+    blob per batch.
 
-    The candidate scan buckets hashes by ``h % num_buckets`` and finds
-    within-bucket repeats via one ``np.unique`` per bucket — a
-    low-cardinality sort shuffle that avoids materializing a
-    per-distinct-key aggregate (2M+ groups) through the object store.
     ``num_buckets`` bounds reducer memory: bucket size ≈ rows × 8B /
     num_buckets, so size it to rows/~30M per bucket at large scale
     (default: 4× input blocks, floor 64).
@@ -271,28 +268,14 @@ def duplicate_id_counts(
             num_buckets = max(64, keys_ds.num_blocks() * 4)
         except Exception:  # noqa: BLE001 — unbacked plans have no block count
             num_buckets = 256
-    nb = np.int64(num_buckets)
 
-    def to_bucketed_hash(t: pa.Table) -> pa.Table:
-        h = _id_hashes(t, id_col)
-        return pa.table(
-            {
-                "h": pa.array(h, pa.int64()),
-                "b": pa.array((h % nb).astype(np.int32)),
-            }
-        )
-
-    def bucket_dups(g: pa.Table) -> pa.Table:
-        h = g["h"].to_numpy(zero_copy_only=False)
-        return pa.table({"h": pa.array(dup_values(h), pa.int64())})
-
-    cand = _collect(
+    cand = candidate_hashes_from_blobs(
         keys_ds.map_batches(
-            to_bucketed_hash, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("b")
-        .map_groups(bucket_dups, batch_format="pyarrow"),
-        pa.schema([("h", pa.int64())]),
+            lambda t: _as_blob(_id_hashes(t, id_col)),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        ),
+        num_buckets=num_buckets,
     )
     return confirm_duplicates(keys_ds, cand, id_col)
 

@@ -313,12 +313,13 @@ def test_uniqueness_distributed_path_matches_driver_path(ray_session, tmp_path, 
 
 
 def test_drift_scorer_actor_stage(ray_session, tmp_path):
-    """Actor-pool DriftScorer: snapshot in actor state, per-batch
-    streaming scores agree with the exact driver scoring direction
-    (clean ~ no drift; shifted -> drift on mutated partitions)."""
-    import ray
+    """DriftScorer as a fused stateful stage (CachedEngineFn: snapshot
+    loaded once per worker): per-batch streaming scores agree with the
+    exact driver scoring direction (clean ~ no drift; shifted -> drift
+    on mutated partitions)."""
     import ray.data as rd
 
+    from etl_data_validation_kio_ray.core.resources import CachedEngineFn
     from etl_data_validation_kio_ray.pipelines.validate import ValidationPipeline
     from etl_data_validation_kio_ray.sources.mutations import mutate_table
     from etl_data_validation_kio_ray.sources.synth import generate_token_table
@@ -332,11 +333,9 @@ def test_drift_scorer_actor_stage(ray_session, tmp_path):
     def scores(indir):
         ds = rd.read_parquet(indir)
         out = ds.map_batches(
-            DriftScorer,
-            fn_constructor_kwargs=dict(snapshot=snap),
+            CachedEngineFn(DriftScorer, snapshot=snap),
             batch_format="pyarrow",
             zero_copy_batch=True,
-            concurrency=2,
         ).to_pandas()
         return out
 

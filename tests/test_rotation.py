@@ -6,6 +6,7 @@ spent on a scored query is wasted evidence)."""
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 
@@ -15,12 +16,12 @@ REPO = os.path.dirname(os.path.abspath(entry.__file__))
 
 
 def _scored() -> set[str]:
+    """Every query named in a committed CORRECTNESS_r*.json, whatever
+    its round."""
     out: set[str] = set()
-    for r in range(1, 5):
-        path = os.path.join(REPO, f"CORRECTNESS_r0{r}.json")
-        if os.path.exists(path):
-            with open(path) as f:
-                out |= set(json.load(f))
+    for path in glob.glob(os.path.join(REPO, "CORRECTNESS_r*.json")):
+        with open(path) as f:
+            out |= set(json.load(f))
     return out
 
 

@@ -558,3 +558,76 @@ def test_cli_export_rules_roundtrip(tmp_path):
     soda = str(tmp_path / "checks.yml")
     assert main(["export-rules", "--out", soda, "--format", "soda"]) == 0
     assert "checks for sequences:" in open(soda).read()
+
+
+def test_snapshot_shares_the_run_vocab(ray_session, tmp_path):
+    """A drift snapshot bins tokens on the run's vocab: validating the
+    very table the snapshot was built from must show no drift, also when
+    row_invariants declares a vocab other than the default."""
+    from etl_data_validation_kio_ray.core.specs import default_rules
+
+    clean = generate_token_table(str(tmp_path / "c"), partitions=3, rows_per_partition=400)
+    rules = default_rules(vocab_size=60000, allowed_sources=ALLOWED + ["forums"])
+    snap = str(tmp_path / "snap")
+    ValidationPipeline(rules).build_snapshot(clean, snap)
+    res = ValidationPipeline(rules, baseline_snapshot_dir=snap).run(clean, str(tmp_path / "o"))
+    drift = [c for c in res.verdicts if c.rule_id == "drift_ks_psi"]
+    assert len(drift) == 3
+    assert all(c.status == "PASS" and c.metrics["psi_tokens"] == 0.0 for c in drift)
+    assert res.run_verdict == "PASS"
+
+
+def test_score_drift_rejects_other_bins():
+    """KS/PSI compare bin by bin: histograms on another domain fail
+    loudly instead of scoring as drift."""
+    from etl_data_validation_kio_ray.sketches import FixedHistogram
+    from etl_data_validation_kio_ray.stages.drift import SNAPSHOT_VERSION, score_drift
+
+    def stats(hi):
+        h = FixedHistogram(0, hi, 4, np.array([1, 2, 3, 4], dtype=np.int64)).to_state()
+        return {"n_tok_fixed": h, "token_hists": {"web": h}}
+
+    base = {"version": SNAPSHOT_VERSION, "stats": {"p": stats(8)}}
+    assert score_drift({"p": stats(8)}, base)["p"]["psi_tokens"] == 0.0
+    with pytest.raises(ValueError, match="bins"):
+        score_drift({"p": stats(16)}, base)
+    cur = stats(8)
+    cur["token_hists"] = {"web": FixedHistogram(0, 8, 8).to_state()}
+    with pytest.raises(ValueError, match=r"tokens\[web\]"):
+        score_drift({"p": cur}, base)
+
+
+@pytest.mark.parametrize("driver_max_bytes", ["default", 0])
+def test_stale_unowned_shard_dir_is_ignored(ray_session, tmp_path, monkeypatch, driver_max_bytes):
+    """Every raw-output reader (violations, partials, id hashes) keeps a
+    partition's rows only from the shard its SUCCESS manifest names: a
+    copy of a committed shard under an unowned name changes nothing."""
+    import json
+    import shutil
+
+    from etl_data_validation_kio_ray.pipelines import validate as V
+    from etl_data_validation_kio_ray.sources.mutations import mutate_table
+    from etl_data_validation_kio_ray.state.checkpoint import RunState
+
+    if driver_max_bytes != "default":
+        monkeypatch.setattr(V, "DRIVER_UNIQUE_MAX_BYTES", driver_max_bytes)
+    clean = generate_token_table(str(tmp_path / "c"), partitions=4, rows_per_partition=200)
+    mut = mutate_table(clean, str(tmp_path / "m"), "duplicate_first")
+    out = str(tmp_path / "o")
+
+    def run():
+        ValidationPipeline(allowed_sources=ALLOWED, shard_size=2).run(mut, out, resume=True)
+        with open(os.path.join(out, "summary.json")) as f:
+            checks = json.load(f)["checks"]
+        cand = V._candidate_hashes(out, RunState(out).shard_owners())
+        return checks, V.load_violations(out).to_pandas(), cand
+
+    checks, vio, cand = run()
+    assert (vio.rule_id == "doc_id_unique").sum() > 0
+    raw = os.path.join(out, "raw")
+    assert sorted(os.listdir(raw)) == ["shard-part-0000", "shard-part-0002"]
+    shutil.copytree(os.path.join(raw, "shard-part-0002"), os.path.join(raw, "shard-part-0001"))
+    checks2, vio2, cand2 = run()
+    assert checks2 == checks
+    pd.testing.assert_frame_equal(vio2, vio)
+    assert cand2.equals(cand)
