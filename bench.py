@@ -358,7 +358,9 @@ def _pipe(snap_dir: str | None = None):
         # (256 partitions / default 64) buys nothing here; production
         # runs keep the default for bounded recompute-after-crash
         shard_size=1024,
-        # one fused task per partition file: grouping several files
+        # one fused task per partition file: each 62.5k-row file
+        # (~44 MB) is above core/resources.READ_TASK_BYTES, so the
+        # read-sizing rule packs none of them. Grouping several files
         # per task was measured SLOWER here — multi-file blocks mean
         # ~500 MB decoded allocations, which this host's page-fault
         # behavior punishes more than the per-task scheduling it saves.

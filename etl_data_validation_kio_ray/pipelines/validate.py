@@ -5,7 +5,9 @@ The Ray-Data re-expression of the reference's run lifecycle
 suite runner /root/reference/src/app2/validators/runner.py:109-228):
 
   read_parquet(pending partition files, pruned columns)
-    -> map_batches(CachedEngineFn(RuleEngine))    # all narrow rules, 1 fused task
+    -> map_batches(CachedEngineFn(RuleEngine))    # all narrow rules, fused into
+                                                  # the read task; small files share
+                                                  # a task (core/resources.read_tasks)
     -> write_parquet(raw/<shard>/, partition_cols=['kind'])
                           # violations + stat partials + doc_id hash blobs
   kind=hash blobs -> id hashes seen twice        # the wide rule: a driver
@@ -42,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
-from ..core.resources import CachedEngineFn
+from ..core.resources import CachedEngineFn, read_args
 from ..core.specs import RuleSpec, default_rules
 from ..core.verdicts import CheckResult, gate_status, partition_verdict
 from ..sketches import CountingHist, FixedHistogram, HyperLogLog, TDigest
@@ -78,7 +80,7 @@ class RunResult:
 
 
 def load_violations(out_dir: str) -> pa.Table:
-    owners = RunState(out_dir).shard_owners()
+    owners = RunState(out_dir, read_only=True).shard_owners()
     tables = [
         _owned_rows(pads.dataset(files).to_table(columns=VIOLATION_COLS), owned)
         for _, files, owned in _owned_outputs(out_dir, "violation", owners)
@@ -319,9 +321,7 @@ class ValidationPipeline:
         import ray.data as rd
 
         file_list = sorted(discover_partition_files(input_path).values())
-        ds = rd.read_parquet(
-            file_list, columns=list(ENGINE_COLS), override_num_blocks=len(file_list)
-        )
+        ds = rd.read_parquet(file_list, columns=list(ENGINE_COLS), **read_args(file_list))
         # stats-only rule set, on the run's engine config (vocab)
         stats_rules = {
             "column_stats": self.rules.get("column_stats") or default_rules()["column_stats"]
@@ -409,17 +409,13 @@ class ValidationPipeline:
                 for j, (cols, group_files) in enumerate(
                     _schema_groups([files[p] for p in shard], list(ENGINE_COLS))
                 ):
-                    # one block per partition file: keeps ReadParquet
-                    # -> engine -> Write fused into a single task (no
+                    # whole files per task, small ones packed up to
+                    # READ_TASK_BYTES (core/resources.read_tasks): each
+                    # task runs ReadParquet -> engine -> Write fused (no
                     # object-store hop for the decoded token column).
-                    # Assumes bounded partition files (the documented
-                    # input layout); a multi-GB file would need
-                    # splitting instead.
-                    ds = rd.read_parquet(
-                        group_files,
-                        columns=cols,
-                        override_num_blocks=len(group_files),
-                    )
+                    # Files are never split: a multi-GB partition file
+                    # would need splitting instead.
+                    ds = rd.read_parquet(group_files, columns=cols, **read_args(group_files))
                     mapped = self._map_engine(ds, self._engine_kwargs(allowed_ref))
                     mapped.write_parquet(
                         os.path.join(shard_dir, f"g{j}"), partition_cols=["kind"]
@@ -523,16 +519,16 @@ class ValidationPipeline:
                     "dup_count": pa.array([], pa.int64()),
                 }
             )
-            key_files = []
+            # input files by whether they carry a partition column (an
+            # unreadable file carries no ids)
+            key_files: dict[bool, list[str]] = {}
             if cand.num_rows:
-                import pyarrow.parquet as pq
-
-                key_files = sorted(
-                    f
-                    for f in files.values()
-                    if ID_COL in pq.read_schema(f).names
-                )
-                keys = rd.read_parquet(key_files, columns=[ID_COL])
+                for f in sorted(files.values()):
+                    names = _footer_names(f) or set()
+                    if ID_COL in names:
+                        key_files.setdefault(PARTITION_COL in names, []).append(f)
+                id_files = sorted(f for fs in key_files.values() for f in fs)
+                keys = rd.read_parquet(id_files, columns=[ID_COL], **read_args(id_files))
                 dup_table = confirm_duplicates(keys, cand, ID_COL)
             uniq_dir = os.path.join(out_dir, "unique_violations")
             if os.path.isdir(uniq_dir):
@@ -540,7 +536,15 @@ class ValidationPipeline:
 
                 shutil.rmtree(uniq_dir)  # run-scope check is recomputed whole
             if dup_table.num_rows:
-                keys = rd.read_parquet(key_files, columns=[ID_COL, PARTITION_COL])
+                # rows of a file without the column count under "all",
+                # as the rule engine keys them
+                first, *rest = (
+                    rd.read_parquet(
+                        fs, columns=[ID_COL, PARTITION_COL] if has else [ID_COL], **read_args(fs)
+                    )
+                    for has, fs in sorted(key_files.items(), reverse=True)
+                )
+                keys = first.union(*rest) if rest else first
                 vio = duplicate_violations(keys, dup_table, ID_COL, PARTITION_COL)
                 vio.write_parquet(uniq_dir)
                 vt = pads.dataset(uniq_dir).to_table(columns=["partition"])
@@ -776,16 +780,8 @@ def _schema_groups(paths: list[str], want: list[str]):
     the other partitions of its shard."""
     from concurrent.futures import ThreadPoolExecutor
 
-    import pyarrow.parquet as pq
-
-    def read_names(p: str) -> set[str] | None:
-        try:
-            return set(pq.read_schema(p).names)
-        except Exception:  # noqa: BLE001 — unreadable file, classified later
-            return None
-
     with ThreadPoolExecutor(max_workers=min(16, max(1, len(paths)))) as ex:
-        name_sets = list(ex.map(read_names, paths))
+        name_sets = list(ex.map(_footer_names, paths))
     groups: dict[tuple, list[str]] = {}
     for p, names in zip(paths, name_sets):
         if names is None:
@@ -793,6 +789,17 @@ def _schema_groups(paths: list[str], want: list[str]):
         cols = tuple(c for c in want if c in names)
         groups.setdefault(cols, []).append(p)
     return [(list(cols), files) for cols, files in sorted(groups.items())]
+
+
+def _footer_names(path: str) -> set[str] | None:
+    """Column names in a parquet footer; None for an unreadable file,
+    which ``_missing_state_checks`` classifies (``unreadable_input``)."""
+    import pyarrow.parquet as pq
+
+    try:
+        return set(pq.read_schema(path).names)
+    except Exception:  # noqa: BLE001 — unreadable file, classified later
+        return None
 
 
 def _reduce_partials(tables) -> dict[str, dict[str, dict]]:

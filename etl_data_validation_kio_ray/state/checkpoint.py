@@ -103,12 +103,20 @@ class PartitionManifest:
 
 
 class RunState:
-    """Manifest directory for one validation run."""
+    """Manifest directory for one validation run.
 
-    def __init__(self, run_dir: str):
+    The run writes it (``read_only=False`` creates the directory);
+    a reader opens it with ``read_only=True``, which creates nothing and
+    raises FileNotFoundError when ``run_dir`` holds no run, so a
+    mistyped path never reads as a run without violations."""
+
+    def __init__(self, run_dir: str, *, read_only: bool = False):
         self.run_dir = run_dir
         self.manifest_dir = os.path.join(run_dir, "_manifests")
-        os.makedirs(self.manifest_dir, exist_ok=True)
+        if not read_only:
+            os.makedirs(self.manifest_dir, exist_ok=True)
+        elif not os.path.isdir(self.manifest_dir):
+            raise FileNotFoundError(f"no validation run under {run_dir} (no _manifests)")
         self.audit = AuditLog(run_dir)
 
     def _path(self, partition: str) -> str:

@@ -33,7 +33,7 @@ def _load_summary(run_dir: str) -> dict[str, Any]:
 def summary_rows(run_dir: str) -> list[dict[str, Any]]:
     """One row per (run, rule_group): checks, failures, rows_failed —
     the shape of the reference's validation_summary CSV."""
-    state = RunState(run_dir)
+    state = RunState(run_dir, read_only=True)
     agg: dict[tuple, dict[str, Any]] = defaultdict(
         lambda: {
             "checks_total": 0,
@@ -88,7 +88,7 @@ def write_summary_csv(run_dirs: list[str] | str, out_path: str) -> str:
 
 def run_report(run_dir: str) -> str:
     """Human-readable run report (the DB-log export analog)."""
-    state = RunState(run_dir)
+    state = RunState(run_dir, read_only=True)
     summary = _load_summary(run_dir)
     lines = [
         f"validation run: {run_dir}",
@@ -156,7 +156,13 @@ def write_html_report(run_dir: str, out_path: str | None = None) -> str:
     checks, global metrics, drift scores, and (when the run dir is an
     experiment output containing experiment_summary.json) the
     per-iteration detection table."""
-    state = RunState(run_dir)
+    exp_path = os.path.join(run_dir, "experiment_summary.json")
+    # an experiment's own dir holds its summary, not a run of its own
+    manifests = (
+        []
+        if os.path.exists(exp_path) and not os.path.isdir(os.path.join(run_dir, "_manifests"))
+        else RunState(run_dir, read_only=True).all_manifests()
+    )
     summary = _load_summary(run_dir)
     verdict = summary.get("run_verdict", "?")
     color = {"PASS": "#1a7f37", "WARN": "#b58105", "FAIL": "#cf222e"}.get(
@@ -177,7 +183,7 @@ def write_html_report(run_dir: str, out_path: str | None = None) -> str:
         "<table><tr><th>partition</th><th>status</th><th>verdict</th>"
         "<th>rows</th><th>failing checks</th></tr>",
     ]
-    for m in state.all_manifests():
+    for m in manifests:
         fails = "; ".join(
             f"{c.get('rule_id')} ({c.get('status')}, rows_failed={c.get('rows_failed')})"
             for c in m.checks
@@ -202,7 +208,7 @@ def write_html_report(run_dir: str, out_path: str | None = None) -> str:
 
     # drift scores live on the drift_ks_psi checks inside manifests
     drift_rows = []
-    for m in state.all_manifests():
+    for m in manifests:
         for c in m.checks:
             met = c.get("metrics") or {}
             if c.get("rule_id") == "drift_ks_psi" and "ks_n_tok" in met:
@@ -223,7 +229,6 @@ def write_html_report(run_dir: str, out_path: str | None = None) -> str:
             )
         parts.append("</table>")
 
-    exp_path = os.path.join(run_dir, "experiment_summary.json")
     if os.path.exists(exp_path):
         with open(exp_path) as f:
             exp = json.load(f)

@@ -631,3 +631,27 @@ def test_stale_unowned_shard_dir_is_ignored(ray_session, tmp_path, monkeypatch, 
     assert checks2 == checks
     pd.testing.assert_frame_equal(vio2, vio)
     assert cand2.equals(cand)
+
+
+def test_readers_refuse_a_missing_run(tmp_path):
+    """A directory that holds no run (no ``_manifests``) is an error for
+    every reader, never an answer of "no violations", and reading it
+    creates nothing there."""
+    from etl_data_validation_kio_ray.pipelines.validate import load_violations
+    from etl_data_validation_kio_ray.state.report import (
+        run_report,
+        summary_rows,
+        write_html_report,
+    )
+
+    readers = (load_violations, summary_rows, run_report, write_html_report)
+    missing = tmp_path / "no_run"
+    for read in readers:
+        with pytest.raises(FileNotFoundError, match="no_run"):
+            read(str(missing))
+    assert not missing.exists()
+    missing.mkdir()  # a directory without manifests is not a run either
+    for read in readers:
+        with pytest.raises(FileNotFoundError, match="no_run"):
+            read(str(missing))
+    assert os.listdir(missing) == []

@@ -105,6 +105,7 @@ def main() -> int:
     DataContext.get_current().enable_progress_bars = False
 
     import __ray_entry__ as entry
+    from etl_data_validation_kio_ray.core.resources import read_args
     from etl_data_validation_kio_ray.pipelines.validate import ValidationPipeline
 
     report: dict = {"sf_dir": sf_dir, "pipelines": {}}
@@ -120,7 +121,7 @@ def main() -> int:
         allowed_sources=entry.ALLOWED_SOURCES, shard_size=64
     )
     pipe.rules = entry._rules()
-    ds = rd.read_parquet(files, override_num_blocks=len(files))
+    ds = rd.read_parquet(files, **read_args(files))
     mapped = pipe._map_engine(ds, pipe._engine_kwargs(pipe._allowed_ref()))
     with tempfile.TemporaryDirectory() as td:
         mapped.write_parquet(td)
@@ -133,8 +134,9 @@ def main() -> int:
         "operators": ops,
         "fused_read_map": fused,
         "verdict": (
-            "FUSED: read+rules+write run as one task per file; decoded "
-            "tokens never cross the object store"
+            "FUSED: read+rules+write run as one task over whole files "
+            "(core/resources.read_tasks); decoded tokens never cross the "
+            "object store"
             if fused
             else "NOT FUSED: decoded token column crosses the object "
             "store — ~2-3x slowdown class (investigate!)"
