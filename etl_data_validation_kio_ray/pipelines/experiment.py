@@ -8,9 +8,14 @@ validation suite, and record whether the EXPECTED check caught it.
 Detection power of the rule set is the experiment's product — the
 reference's test strategy (SURVEY.md §5) as a first-class pipeline.
 
-Per iteration this runner writes a mutated copy of the baseline table,
-runs :class:`ValidationPipeline` (each iteration's run dir is
-per-partition resumable like any other run), and scores:
+Per iteration this runner writes a mutated copy of the baseline table
+(the unchanged files are hard links to the baseline's) and runs
+:class:`ValidationPipeline` over it. The baseline run records each
+partition's content key, and every mutated run reuses the baseline's
+outputs for the partitions whose files are unchanged
+(``run(reuse_from=[baseline])``), so only the changed partitions are
+validated. Each iteration's run dir is per-partition resumable like any
+other run. The runner scores:
 
     expected_rule fired AND its rows_failed INCREASED
         vs the baseline run                          -> "detected"
@@ -105,9 +110,10 @@ def run_experiment(
     os.makedirs(out_dir, exist_ok=True)
     # baseline pass: the clean table must validate clean before fault
     # injection means anything (run.py:482-501 baseline snapshot step)
-    base_res = pipeline_factory().run(
-        clean_input, os.path.join(out_dir, "baseline"), resume=True
-    )
+    # the baseline records each partition's content key, so every
+    # mutated run validates only the partitions its mutation changed
+    base_dir = os.path.join(out_dir, "baseline")
+    base_res = pipeline_factory().run(clean_input, base_dir, resume=True, reuse_from=[])
     base_fired = sorted(
         {
             c.rule_id
@@ -124,7 +130,7 @@ def run_experiment(
         mut_dir = os.path.join(out_dir, f"input_{action}")
         run_dir = os.path.join(out_dir, f"run_{action}")
         mutate_table(clean_input, mut_dir, action)
-        res = pipeline_factory().run(mut_dir, run_dir, resume=True)
+        res = pipeline_factory().run(mut_dir, run_dir, resume=True, reuse_from=[base_dir])
         fired = sorted(
             {
                 c.rule_id

@@ -4,7 +4,12 @@ The Ray-Data re-expression of the reference's run lifecycle
 (/root/reference/scripts/run_manual_experiments.py:539-662 and the
 suite runner /root/reference/src/app2/validators/runner.py:109-228):
 
-  read_parquet(pending partition files, pruned columns)
+  pending partition files
+    -> reuse (run(reuse_from=[...]) only): a partition whose content key
+       (file stem, sha256 of the file, engine config) matches a SUCCESS
+       partition of a source run links that run's raw outputs into
+       raw/reused-*/ instead of being read
+  read_parquet(the other pending files, pruned columns)
     -> map_batches(CachedEngineFn(RuleEngine))    # all narrow rules, fused into
                                                   # the read task; small files share
                                                   # a task (core/resources.read_tasks)
@@ -21,6 +26,10 @@ partition's rows count only from the shard its SUCCESS manifest names
 (the manifests are the run's lineage), so leftovers of a crashed attempt
 never double-count.
 
+Reuse needs every file of both runs to carry only its own partition
+value (footer statistics): the engine keys rows by that value, so only
+then are a partition's outputs a function of its own file.
+
 Resume: input is one Parquet file per partition; partitions whose
 manifest is already SUCCESS are pruned from the read (the file is never
 opened again) — the file-level analog of the reference's
@@ -32,10 +41,13 @@ atomically, bounding recomputation after a crash.
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import os
 import pickle
+import shutil
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -44,18 +56,29 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
+from .. import __version__
 from ..core.resources import CachedEngineFn, read_args
 from ..core.specs import RuleSpec, default_rules
 from ..core.verdicts import CheckResult, gate_status, partition_verdict
 from ..sketches import CountingHist, FixedHistogram, HyperLogLog, TDigest
 from ..stages.drift import load_baseline_snapshot, score_drift, build_baseline_snapshot
-from ..stages.rule_engine import ENGINE_COLS, ID_COL, PARTITION_COL, RuleEngine, rules_vocab_size
+from ..sources.storage import link_or_copy
+from ..stages.rule_engine import (
+    ENGINE_COLS,
+    EXPECTED_SCHEMA,
+    ID_COL,
+    PARTITION_COL,
+    PATH_COL,
+    RuleEngine,
+    file_partition,
+    rules_vocab_size,
+)
 from ..stages.uniqueness import (
     candidate_hashes_from_blobs,
     confirm_duplicates,
     duplicate_violations,
 )
-from ..state.checkpoint import RunState
+from ..state.checkpoint import SUCCESS, RunState
 
 VIOLATION_COLS = ["rule_id", "doc_id", "partition", "reason"]
 PARTIAL_COLS = ["rule_id", "partition", "payload"]
@@ -204,12 +227,52 @@ class ValidationPipeline:
             vocab_size=rules_vocab_size(self.rules),
         )
 
+    def _allowed(self) -> list[str] | None:
+        spec = self.rules.get("source_ref")
+        return spec.params.get("allowed_sources") if spec else None
+
     def _allowed_ref(self):
         import ray
 
-        spec = self.rules.get("source_ref")
-        allowed = spec.params.get("allowed_sources") if spec else None
+        allowed = self._allowed()
         return ray.put(allowed) if allowed is not None else None
+
+    def _engine_key(self) -> str:
+        """Digest of everything that decides a partition's raw outputs
+        besides its file: the rules, the allowed sources, the vocab, the
+        batching, the engine's columns and schema, and the package
+        version. Built from values, not from the engine kwargs (their
+        per-run ``ray.put`` ref differs every run). The drift snapshot
+        is left out: drift is scored run-scope."""
+        blob = pickle.dumps(
+            (
+                self.rules,
+                self._allowed(),
+                rules_vocab_size(self.rules),
+                self.batch_size,
+                ENGINE_COLS,
+                EXPECTED_SCHEMA.to_string(),
+                __version__,
+            ),
+            protocol=4,
+        )
+        return hashlib.sha256(blob).hexdigest()
+
+    def _reuse_keys(self, files: dict[str, str], parts: list[str]) -> dict[str, str]:
+        """Content key of each of ``parts``: its file stem, a sha256 of
+        its file's bytes and the engine key. Empty unless every file of
+        the run is shown by its footer to carry only its own partition:
+        the engine keys rows by their ``partition`` value, so only then
+        are a partition's outputs a function of its own file alone."""
+        with ThreadPoolExecutor(max_workers=min(16, max(1, len(files)))) as ex:
+            if not all(ex.map(_carries_only_own_partition, files.values())):
+                return {}
+            digests = list(ex.map(_file_sha256, [files[p] for p in parts]))
+        engine = self._engine_key()
+        return {
+            p: hashlib.sha256(f"{p}\0{d}\0{engine}".encode()).hexdigest()
+            for p, d in zip(parts, digests)
+        }
 
     def _map_engine(self, ds, engine_kwargs: dict):
         """Apply the rule engine to a Dataset: a task-based
@@ -234,10 +297,9 @@ class ValidationPipeline:
         non-empty'). UNREADABLE file (footer metadata read raises) ->
         schema FAIL with an ``unreadable_input`` metric: a file that
         became corrupt must not masquerade as benign emptiness. File
-        WITH rows -> schema FAIL: its rows were keyed under another
-        partition value (e.g. the partition column is missing, so the
-        engine attributed them to 'all') — that must surface loudly,
-        not masquerade as an empty partition."""
+        WITH rows -> schema FAIL: its rows carry another partition's
+        value, so the engine keyed them there — that must surface
+        loudly, not masquerade as an empty partition."""
         nrows = 0
         if input_file:
             try:
@@ -339,7 +401,22 @@ class ValidationPipeline:
 
     # ------------------------------------------------------------ run
 
-    def run(self, input_path: str, out_dir: str, *, resume: bool = True) -> RunResult:
+    def run(
+        self,
+        input_path: str,
+        out_dir: str,
+        *,
+        resume: bool = True,
+        reuse_from: list[str] | None = None,
+    ) -> RunResult:
+        """Validate every partition file under ``input_path`` into
+        ``out_dir``.
+
+        ``reuse_from``: None validates every pending partition and hashes
+        nothing. A list (``[]`` included) records each partition's
+        content key in its manifest, and a partition whose key matches a
+        SUCCESS partition of one of the listed runs is not read: that
+        run's raw outputs are linked into this run's ``raw/`` instead."""
         import ray.data as rd
 
         t0 = time.time()
@@ -362,6 +439,14 @@ class ValidationPipeline:
                 "resume_skip", partitions=sorted(done), n=len(done)
             )
 
+        content_keys: dict[str, str] = {}
+        reused: dict[str, tuple[str, str]] = {}
+        if reuse_from is not None:
+            t_phase = time.time()
+            content_keys = self._reuse_keys(files, pending)
+            reused = _reusable(content_keys, reuse_from)
+            phases["reuse_keys"] = round(time.time() - t_phase, 3)
+
         allowed_ref = self._allowed_ref()
 
         # partial states of shards processed THIS run, kept in memory so
@@ -380,27 +465,33 @@ class ValidationPipeline:
         unreadable_parts: dict[str, list[CheckResult]] = {}
 
         t_narrow = time.time()
-        for i in range(0, len(pending), self.shard_size):
-            shard = pending[i : i + self.shard_size]
-            state.claim_many(shard)
-            # shard dir is keyed by its first partition; if a resumed
-            # run regroups partitions, an existing dir of that name may
-            # still be OWNED by other partitions' SUCCESS manifests —
-            # deleting it would destroy their committed violation rows.
-            # Pick the first name that is either free or unowned
-            # (crashed leftovers); owners-filtering at read time keeps
-            # stale rows of reclaimed partitions from double-counting.
-            owned_dirs = set(owners.values())
-            base = f"shard-{shard[0]}"
-            shard_name, k = base, 0
-            while shard_name in owned_dirs:
-                k += 1
-                shard_name = f"{base}-r{k}"
-            shard_dir = os.path.join(out_dir, "raw", shard_name)
-            if os.path.isdir(shard_dir):
-                import shutil
+        # reused partitions: each source shard's outputs are linked into
+        # a shard of this run, which their manifests name; the ownership
+        # readers keep only their rows. Nothing is claimed or read.
+        by_source: dict[tuple[str, str], list[str]] = {}
+        for p in sorted(reused):
+            by_source.setdefault(reused[p], []).append(p)
+        for (src, src_shard), parts in sorted(by_source.items()):
+            shard_name, shard_dir = _unowned_shard_dir(
+                out_dir, f"reused-{reuse_from.index(src)}-{src_shard}", owners
+            )
+            _link_outputs(os.path.join(src, "raw", src_shard), shard_dir)
+            merged = fresh_shard_stats[shard_name] = _read_partials(
+                _kind_files(shard_dir, "partial")
+            )
+            items = []
+            for p in parts:
+                checks = self._narrow_checks(p, merged.get(p, {}), input_file=files[p])
+                fields = {"shard": shard_name, "key": content_keys[p], "reused_from": src}
+                items.append((p, {**_manifest(checks), **fields}))
+            state.finish_many(items)
+            owners.update((p, shard_name) for p in parts)
 
-                shutil.rmtree(shard_dir)  # leftovers of a crashed attempt
+        fresh = [p for p in pending if p not in reused]
+        for i in range(0, len(fresh), self.shard_size):
+            shard = fresh[i : i + self.shard_size]
+            state.claim_many(shard)
+            shard_name, shard_dir = _unowned_shard_dir(out_dir, f"shard-{shard[0]}", owners)
             try:
                 # files may disagree on schema (a column dropped upstream
                 # is itself a finding): group by footer schema, read each
@@ -414,21 +505,24 @@ class ValidationPipeline:
                     # task runs ReadParquet -> engine -> Write fused (no
                     # object-store hop for the decoded token column).
                     # Files are never split: a multi-GB partition file
-                    # would need splitting instead.
-                    ds = rd.read_parquet(group_files, columns=cols, **read_args(group_files))
+                    # would need splitting instead. A file without the
+                    # partition column is read with its path, so the
+                    # engine keys its rows by the file stem.
+                    ds = rd.read_parquet(
+                        group_files,
+                        columns=cols,
+                        include_paths=PARTITION_COL not in cols,
+                        **read_args(group_files),
+                    )
                     mapped = self._map_engine(ds, self._engine_kwargs(allowed_ref))
                     mapped.write_parquet(
                         os.path.join(shard_dir, f"g{j}"), partition_cols=["kind"]
                     )
                 # commit this shard: per-partition manifests with the
                 # narrow-rule checks (run-scope checks appended later)
-                part_files = _kind_files(shard_dir, "partial")
-                merged = _reduce_partials(
-                    [pads.dataset(part_files).to_table(columns=PARTIAL_COLS)]
-                    if part_files
-                    else []
+                merged = fresh_shard_stats[shard_name] = _read_partials(
+                    _kind_files(shard_dir, "partial")
                 )
-                fresh_shard_stats[shard_name] = merged
                 items = []
                 for p in shard:
                     checks = self._narrow_checks(
@@ -440,7 +534,9 @@ class ValidationPipeline:
                         state.fail(p, f"unreadable input file: {files.get(p)}")
                         unreadable_parts[p] = checks
                         continue
-                    items.append((p, {**_manifest(checks), "shard": shard_name}))
+                    items.append(
+                        (p, {**_manifest(checks), "shard": shard_name, "key": content_keys.get(p)})
+                    )
                 state.finish_many(items)
                 for p, _ in items:
                     owners[p] = shard_name
@@ -459,9 +555,7 @@ class ValidationPipeline:
         for shard_name, part_files, owned in _owned_outputs(out_dir, "partial", owners):
             reduced = fresh_shard_stats.get(shard_name)
             if reduced is None:
-                reduced = _reduce_partials(
-                    [pads.dataset(part_files).to_table(columns=PARTIAL_COLS)]
-                )
+                reduced = _read_partials(part_files)
             shard_stats.update((p, reduced[p]) for p in owned if p in reduced)
         # partitions claimed by a committed shard but with NO batch
         # output are EMPTY inputs — keep them visible with a WARN
@@ -482,8 +576,6 @@ class ValidationPipeline:
                 schema_rows.append(("schema_types", None, part, msg))
         sv_dir = os.path.join(out_dir, "schema_violations")
         if os.path.isdir(sv_dir):
-            import shutil
-
             shutil.rmtree(sv_dir)
         if schema_rows:
             os.makedirs(sv_dir, exist_ok=True)
@@ -532,16 +624,16 @@ class ValidationPipeline:
                 dup_table = confirm_duplicates(keys, cand, ID_COL)
             uniq_dir = os.path.join(out_dir, "unique_violations")
             if os.path.isdir(uniq_dir):
-                import shutil
-
                 shutil.rmtree(uniq_dir)  # run-scope check is recomputed whole
             if dup_table.num_rows:
-                # rows of a file without the column count under "all",
-                # as the rule engine keys them
+                # rows of a file without the column count under its
+                # stem, as the rule engine keys them
                 first, *rest = (
-                    rd.read_parquet(
-                        fs, columns=[ID_COL, PARTITION_COL] if has else [ID_COL], **read_args(fs)
-                    )
+                    rd.read_parquet(fs, columns=[ID_COL, PARTITION_COL], **read_args(fs))
+                    if has
+                    else rd.read_parquet(
+                        fs, columns=[ID_COL], include_paths=True, **read_args(fs)
+                    ).map_batches(_partition_from_path, batch_format="pyarrow")
                     for has, fs in sorted(key_files.items(), reverse=True)
                 )
                 keys = first.union(*rest) if rest else first
@@ -660,19 +752,115 @@ def discover_partition_files(input_path: str) -> dict[str, str]:
     partition (FIXTURES.md F1), or a single parquet file (one logical
     partition named after the file stem)."""
     if os.path.isfile(input_path):
-        name = os.path.splitext(os.path.basename(input_path))[0]
-        return {name: input_path}
+        return {file_partition(input_path): input_path}
     out = {}
     for f in sorted(glob.glob(os.path.join(input_path, "*.parquet"))):
-        out[os.path.splitext(os.path.basename(f))[0]] = f
+        out[file_partition(f)] = f
     if not out:
         raise FileNotFoundError(f"no .parquet files under {input_path}")
     return out
 
 
+def _unowned_shard_dir(out_dir: str, base: str, owners: dict[str, str]) -> tuple[str, str]:
+    """(name, path) of an empty raw shard dir named after ``base``.
+
+    If a resumed run regroups partitions, an existing dir of that name
+    may still be OWNED by other partitions' SUCCESS manifests — deleting
+    it would destroy their committed rows. So the first name that is
+    free or unowned (crashed leftovers, deleted here) is taken;
+    owners-filtering at read time keeps stale rows of reclaimed
+    partitions from double-counting."""
+    owned_dirs = set(owners.values())
+    name, k = base, 0
+    while name in owned_dirs:
+        k += 1
+        name = f"{base}-r{k}"
+    path = os.path.join(out_dir, "raw", name)
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    return name, path
+
+
+def _link_outputs(src_shard_dir: str, shard_dir: str) -> None:
+    """Link every raw output file (each ``kind``) of a shard of another
+    run into ``shard_dir``, keeping its layout."""
+    os.makedirs(shard_dir)
+    for f in _kind_files(src_shard_dir, "*"):
+        dst = os.path.join(shard_dir, os.path.relpath(f, src_shard_dir))
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        link_or_copy(f, dst)
+
+
+def _reusable(keys: dict[str, str], sources: list[str]) -> dict[str, tuple[str, str]]:
+    """partition -> (source run, its shard) for each keyed partition
+    that a source run finished (SUCCESS) under the same key; the first
+    listed source wins. A source counts only when it keyed every one of
+    its partitions (all its files carried only their own partition);
+    a source that holds no run is skipped."""
+    want = {k: p for p, k in keys.items()}
+    found: dict[str, tuple[str, str]] = {}
+    for src in sources if keys else []:
+        if not os.path.isdir(os.path.join(src, "_manifests")):
+            continue
+        manifests = RunState(src, read_only=True).all_manifests()
+        if any(m.key is None for m in manifests):
+            continue
+        for m in manifests:
+            p = want.get(m.key)
+            if (
+                p is not None
+                and p not in found
+                and m.status == SUCCESS
+                and m.shard
+                and os.path.isdir(os.path.join(src, "raw", m.shard))
+            ):
+                found[p] = (src, m.shard)
+    return found
+
+
+def _carries_only_own_partition(path: str) -> bool:
+    """True when the footer statistics of ``path`` show every row's
+    ``partition`` equal to the file stem (min == max == stem, no nulls,
+    in every row group with rows). False for a file without the column
+    or without statistics, and for an unreadable one."""
+    import pyarrow.parquet as pq
+
+    stem = file_partition(path)
+    try:
+        md = pq.read_metadata(path)
+    except Exception:  # noqa: BLE001 — unreadable file
+        return False
+    cols = [md.schema.column(j).path for j in range(md.num_columns)]
+    if PARTITION_COL not in cols:
+        return False
+    groups = [md.row_group(i) for i in range(md.num_row_groups)]
+    stats = [g.column(cols.index(PARTITION_COL)).statistics for g in groups if g.num_rows]
+    return all(
+        st is not None
+        and st.has_min_max
+        and st.has_null_count
+        and st.null_count == 0
+        and st.min == stem == st.max
+        for st in stats
+    )
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
+
+
+def _partition_from_path(t: pa.Table) -> pa.Table:
+    """(doc_id, partition) of ids read with their file path."""
+    paths = t[PATH_COL].combine_chunks().dictionary_encode()
+    stems = pa.array([file_partition(p) for p in paths.dictionary.to_pylist()], pa.string())
+    return pa.table({ID_COL: t[ID_COL], PARTITION_COL: stems.take(paths.indices)})
+
+
 def _kind_files(shard_dir: str, kind: str) -> list[str]:
     """Parquet files of one output kind ('violation', 'partial' or
-    'hash') under a raw shard dir, across its schema groups."""
+    'hash'; '*' for all) under a raw shard dir, across its schema
+    groups."""
     return sorted(
         glob.glob(os.path.join(shard_dir, "**", f"kind={kind}", "*.parquet"), recursive=True)
     )
@@ -778,8 +966,6 @@ def _schema_groups(paths: list[str], want: list[str]):
     output, so ``_missing_state_checks`` classifies them as
     ``unreadable_input`` schema FAILs — one bad file must not take down
     the other partitions of its shard."""
-    from concurrent.futures import ThreadPoolExecutor
-
     with ThreadPoolExecutor(max_workers=min(16, max(1, len(paths)))) as ex:
         name_sets = list(ex.map(_footer_names, paths))
     groups: dict[tuple, list[str]] = {}
@@ -814,6 +1000,13 @@ def _reduce_partials(tables) -> dict[str, dict[str, dict]]:
             slot = out.setdefault(part, {})
             slot[rule_id] = _merge_stats(slot[rule_id], st) if rule_id in slot else st
     return out
+
+
+def _read_partials(files: list[str]) -> dict[str, dict[str, dict]]:
+    """``_reduce_partials`` of the given kind=partial files."""
+    return _reduce_partials(
+        [pads.dataset(files).to_table(columns=PARTIAL_COLS)] if files else []
+    )
 
 
 def _merge_all(states) -> dict:

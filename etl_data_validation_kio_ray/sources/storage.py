@@ -14,8 +14,20 @@ DuckDB's ``parquet_metadata()`` in tests/test_validate.py."""
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pandas as pd
 import pyarrow.parquet as pq
+
+
+def link_or_copy(src: str, dst: str) -> None:
+    """Hard-link ``src`` at ``dst``; copy it where the file system
+    refuses the link (another device, no link support)."""
+    try:
+        os.link(src, dst)
+    except OSError:
+        shutil.copyfile(src, dst)
 
 
 def _profile_one(table: str, path: str) -> list[dict]:

@@ -24,6 +24,11 @@ the thing to avoid):
                         64-bit doc_id hashes back to back; null for
                         violations)
 
+Rows are keyed by their ``partition`` value. A batch without that
+column but with the reader's ``path`` column (``read_parquet(...,
+include_paths=True)``) is keyed by each row's file stem, the partition
+the file stands for, and its schema check reports the missing column.
+
 Wide rules (doc_id uniqueness) cannot be computed in a narrow pass: the
 engine emits one 'hash' row per (batch, partition) and the run-scope
 scan in pipelines/validate.py finds repeats among them
@@ -33,6 +38,7 @@ produced here and scored against the baseline in stages/drift.py.
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 from typing import Any
@@ -60,6 +66,7 @@ UNION_SCHEMA = pa.schema(
 # reads them: every stage of the flagship names them through this
 ENGINE_COLS = ("doc_id", "tokens", "n_tok", "source", "partition")
 ID_COL, TOKEN_COL, LEN_COL, SOURCE_COL, PARTITION_COL = ENGINE_COLS
+PATH_COL = "path"  # the file column of read_parquet(include_paths=True)
 EXPECTED_SCHEMA = pa.schema(
     [
         (ID_COL, pa.string()),
@@ -91,6 +98,11 @@ def rules_vocab_size(rules: dict[str, RuleSpec]) -> int:
     if inv is None or not inv.enabled:
         return VOCAB_SIZE
     return int(inv.params.get("vocab_size", VOCAB_SIZE))
+
+
+def file_partition(path: str) -> str:
+    """The partition a file stands for: its stem."""
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def _empty_like(n: int) -> dict[str, list]:
@@ -159,14 +171,20 @@ class RuleEngine:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = _empty_like(0)
+        keys, name, from_path = None, str, False
         if PARTITION_COL in batch.column_names:
-            parts = pc.unique(batch[PARTITION_COL])
+            keys = batch[PARTITION_COL]
+        elif PATH_COL in batch.column_names:
+            keys, name, from_path = batch[PATH_COL], file_partition, True
+            batch = batch.drop_columns([PATH_COL])
+        if keys is not None:
+            parts = pc.unique(keys)
             if len(parts) == 1:
-                self._process(batch, str(parts[0].as_py()), out)
+                self._process(batch, name(parts[0].as_py()), out, from_path)
             else:
                 for pval in sorted(p.as_py() for p in parts):
-                    mask = pc.equal(batch[PARTITION_COL], pa.scalar(pval))
-                    self._process(batch.filter(mask), str(pval), out)
+                    mask = pc.equal(keys, pa.scalar(pval))
+                    self._process(batch.filter(mask), name(pval), out, from_path)
         else:
             self._process(batch, "all", out)
         return pa.table(
@@ -174,7 +192,7 @@ class RuleEngine:
             schema=UNION_SCHEMA,
         )
 
-    def _process(self, sub: pa.Table, partition: str, out) -> None:
+    def _process(self, sub: pa.Table, partition: str, out, from_path: bool = False) -> None:
         # gate rule FIRST: rows failing the declarative predicate are
         # quarantined (violation rows + count) and excluded from every
         # downstream rule — the reference's HTTP-status gating filter
@@ -263,7 +281,7 @@ class RuleEngine:
                 ids_hash = np.empty(0, dtype=np.uint64)
 
         if "schema_types" in self.rules:
-            self._rule_schema(sub, partition, out, take_ids, nrows)
+            self._rule_schema(sub, partition, out, take_ids, nrows, from_path)
         if "completeness_nulls" in self.rules:
             self._rule_completeness(sub, partition, out, nrows)
         if "row_invariants" in self.rules and tokens is not None:
@@ -384,10 +402,11 @@ class RuleEngine:
         )
         return sub.filter(pa.array(keep)) if len(gated) else sub
 
-    def _rule_schema(self, sub, partition, out, take_ids, nrows):
+    def _rule_schema(self, sub, partition, out, take_ids, nrows, from_path=False):
         """Arrow-schema + required-field checks — analog of the Draft-7
         suites (schema_suite/matches_schema.py:59-88: required keys,
-        types, minItems)."""
+        types, minItems). ``from_path``: the rows were keyed by their
+        file, which lacks the partition column."""
         t0 = time.perf_counter()
         rows_failed = 0
         # schema-level issues are emitted as PARTIAL state (one violation
@@ -410,6 +429,9 @@ class RuleEngine:
                     out, "schema_types", partition, take_ids(bad), reasons
                 )
                 rows_failed += len(bad)
+        if from_path:
+            schema_errors.append(f"column '{PARTITION_COL}' missing")
+            rows_failed += nrows
         for f in EXPECTED_SCHEMA:
             if f.name not in sub.column_names:
                 schema_errors.append(f"column '{f.name}' missing")

@@ -97,6 +97,11 @@ class PartitionManifest:
     # readers keep only rows from the OWNING shard, so stale outputs of
     # a crashed attempt that regrouped partitions can never double-count
     shard: str | None = None
+    # content key of the partition's input (file stem, file bytes, engine
+    # config), recorded by runs that may be reused from; ``reused_from``
+    # names the run whose outputs ``shard`` links instead of validating
+    key: str | None = None
+    reused_from: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -155,15 +160,20 @@ class RunState:
         rows_total: int,
         checks: list[dict[str, Any]],
         shard: str | None = None,
+        key: str | None = None,
+        reused_from: str | None = None,
     ) -> PartitionManifest:
+        """Mark ``partition`` SUCCESS. ``shard``, ``key`` and
+        ``reused_from`` are kept from an earlier finish when not given."""
         m = self.load(partition)
         m.status = SUCCESS
         m.finished_at = time.time()
         m.verdict = verdict
         m.rows_total = rows_total
         m.checks = checks
-        if shard is not None:
-            m.shard = shard
+        for name, value in (("shard", shard), ("key", key), ("reused_from", reused_from)):
+            if value is not None:
+                setattr(m, name, value)
         self.save(m)
         self.audit.append(
             "finish",
@@ -172,6 +182,7 @@ class RunState:
             rows_total=rows_total,
             attempts=m.attempts,
             shard=m.shard,
+            reused_from=m.reused_from,
         )
         return m
 

@@ -57,7 +57,8 @@ def test_read_tasks_on_a_mix():
 
 def _edge_corpus(d: str) -> dict[str, str]:
     """One shard of 9 small partition files, four of them degenerate,
-    keyed by the ``_missing_state_checks`` class each edge file gets."""
+    keyed by the ``_missing_state_checks`` class each edge file gets (the
+    file without ``partition`` gets none: its rows are its own)."""
     from etl_data_validation_kio_ray.sources.synth import make_partition, partition_file
 
     os.makedirs(d)
@@ -74,7 +75,6 @@ def _edge_corpus(d: str) -> dict[str, str]:
     return {
         "part-0005": "unattributed_rows",
         "part-0006": "empty_partition",
-        "part-0007": "unattributed_rows",
         "part-0008": "unreadable_input",
     }
 
@@ -133,3 +133,9 @@ def test_packed_reads_change_no_result(ray_session, tmp_path, monkeypatch):
     for part, key in edges.items():
         (check,) = [c for c in s1["checks"] if c["partition"] == part and c["metrics"]]
         assert check["metrics"] == {key: True}, part
+    # the file without ``partition`` is validated as part-0007
+    schema = {c["partition"]: c for c in s1["checks"] if c["rule_id"] == "schema_types"}
+    assert (schema["part-0007"]["status"], schema["part-0007"]["rows_failed"]) == ("FAIL", 50)
+    assert v1.filter(pc.equal(v1["partition"], "part-0007"))["reason"].to_pylist() == [
+        "column 'partition' missing"
+    ]

@@ -483,8 +483,9 @@ def test_csv_source_roundtrip(ray_session, tmp_path):
 
 
 def test_unattributed_rows_flagged_as_schema_fail(ray_session, tmp_path):
-    """A non-empty file whose rows can't be attributed to its partition
-    (partition column dropped) must FAIL schema, not WARN empty."""
+    """A non-empty file whose partition column was dropped must FAIL
+    schema, not WARN empty: its rows are validated as the file's own
+    partition and the missing column is a schema violation."""
     import pyarrow.parquet as pq
 
     from etl_data_validation_kio_ray.pipelines.validate import ValidationPipeline
@@ -499,7 +500,10 @@ def test_unattributed_rows_flagged_as_schema_fail(ray_session, tmp_path):
     checks = [c for c in res.verdicts if c.partition == "part-0001"]
     schema = [c for c in checks if c.rule_id == "schema_types"]
     assert schema and schema[0].status == "FAIL"
-    assert schema[0].metrics.get("unattributed_rows") is True
+    assert (schema[0].rows_failed, schema[0].rows_total) == (50, 50)
+    v = res.violations().to_pandas()
+    schema_vio = v[(v.partition == "part-0001") & (v.rule_id == "schema_types")]
+    assert schema_vio.reason.tolist() == ["column 'partition' missing"]
 
 
 def test_exact_dedup_survives_hash_collision(ray_session):

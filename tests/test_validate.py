@@ -655,3 +655,237 @@ def test_readers_refuse_a_missing_run(tmp_path):
         with pytest.raises(FileNotFoundError, match="no_run"):
             read(str(missing))
     assert os.listdir(missing) == []
+
+
+def test_file_without_partition_column_counts_in_run_scope_checks(ray_session, tmp_path):
+    """A file that lost its ``partition`` column is validated as its own
+    partition (the file stem): a copy of another partition's rows must
+    fire doc_id_unique on both files, and the missing column still fails
+    schema_types."""
+    import json
+
+    from etl_data_validation_kio_ray.pipelines.validate import load_violations
+    from etl_data_validation_kio_ray.sources.synth import partition_file
+
+    d = str(tmp_path / "in")
+    os.makedirs(d)
+    for p in range(4):
+        pq.write_table(make_partition(p, 200), partition_file(d, p))
+    pq.write_table(
+        pq.read_table(partition_file(d, 2)).drop_columns(["partition"]), partition_file(d, 4)
+    )
+    out = str(tmp_path / "out")
+    res = ValidationPipeline(allowed_sources=ALLOWED + ["forums"]).run(d, out)
+    status = {(c.partition, c.rule_id): (c.status, c.rows_failed) for c in res.verdicts}
+    assert status["part-0002", "doc_id_unique"] == ("FAIL", 200)
+    assert status["part-0004", "doc_id_unique"] == ("FAIL", 200)
+    assert status["part-0004", "schema_types"] == ("FAIL", 200)
+    assert status["part-0004", "column_stats"][0] == "PASS"
+    assert res.run_verdict == "FAIL"
+    v = load_violations(out).to_pandas()
+    dup = v[v.rule_id == "doc_id_unique"]
+    assert dup.groupby("partition").size().to_dict() == {"part-0002": 200, "part-0004": 200}
+    assert v[v.rule_id == "schema_types"].values.tolist() == [
+        ["schema_types", None, "part-0004", "column 'partition' missing"]
+    ]
+    with open(os.path.join(out, "summary.json")) as f:
+        assert "part-0004" in json.load(f)["partitions"]
+
+
+# ---------------------------------------------------------------- reuse
+
+
+def _run_outputs(out: str, res) -> tuple:
+    """What a run reports: summary checks (without timings), its
+    violation rows and its metrics (without phases)."""
+    import json
+
+    from etl_data_validation_kio_ray.pipelines.validate import load_violations
+
+    with open(os.path.join(out, "summary.json")) as f:
+        s = json.load(f)
+    s.pop("duration_s")
+    for c in s["checks"]:
+        c.pop("duration_ms", None)
+    metrics = {k: v for k, v in res.metrics.items() if k != "phases"}
+    return s, load_violations(out).to_pandas(), metrics
+
+
+def _reused(out: str) -> dict[str, str]:
+    from etl_data_validation_kio_ray.state.checkpoint import RunState
+
+    return {m.partition: m.reused_from for m in RunState(out).all_manifests() if m.reused_from}
+
+
+def _assert_same(a: tuple, b: tuple) -> None:
+    assert a[0] == b[0]
+    pd.testing.assert_frame_equal(a[1], b[1])
+    assert a[2] == b[2]
+
+
+def _reuse_corpus(d: str, parts: int = 6, rows: int = 120, **write_kw) -> str:
+    from etl_data_validation_kio_ray.sources.synth import partition_file
+
+    os.makedirs(d)
+    for p in range(parts):
+        pq.write_table(make_partition(p, rows), partition_file(d, p), **write_kw)
+    return d
+
+
+def _with_foreign_ids(src: str, dst: str) -> str:
+    """A copy of ``src`` whose part-0002 carries 10 of part-0001's ids
+    (still keyed part-0002): doc_id_unique fires across a reused and a
+    re-validated partition."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from etl_data_validation_kio_ray.sources.synth import partition_file
+
+    shutil.copytree(src, dst)
+    t = pq.read_table(partition_file(src, 2))
+    ids = pq.read_table(partition_file(src, 1))["doc_id"].to_pylist()[:10]
+    new_ids = pa.array(ids + t["doc_id"].to_pylist()[10:], pa.string())
+    t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id", new_ids)
+    pq.write_table(t, partition_file(dst, 2))
+    assert pc.sum(pc.is_in(t["doc_id"], pa.array(ids))).as_py() == 10
+    return dst
+
+
+@pytest.mark.parametrize("corpus", ["clean", "foreign", "edge"])
+def test_reuse_changes_no_result(ray_session, tmp_path, corpus):
+    """Reusing a source run's outputs gives the run it would have given
+    without reuse. On a clean corpus every unchanged partition is
+    reused. A file carrying another partition's rows blocks reuse
+    altogether, and so does the edge corpus (empty, foreign-partition,
+    partition-less and unreadable files). There the file carrying
+    part-0001's rows changes, so reusing the unchanged part-0001 file's
+    outputs would count its old rows."""
+    from etl_data_validation_kio_ray.sources.synth import partition_file
+
+    from .test_read_sizing import _edge_corpus
+
+    src_in = str(tmp_path / "src_in")
+    foreign = {"clean": None, "foreign": 6, "edge": 5}[corpus]
+    if corpus == "edge":
+        _edge_corpus(src_in)
+    else:
+        _reuse_corpus(src_in)
+    if corpus == "foreign":
+        pq.write_table(make_partition(1, 40), partition_file(src_in, foreign))
+    mut_in = _with_foreign_ids(src_in, str(tmp_path / "mut_in"))
+    if foreign is not None:
+        pq.write_table(make_partition(1, 30), partition_file(mut_in, foreign))
+    pipe = lambda: ValidationPipeline(allowed_sources=ALLOWED)  # noqa: E731
+    src = str(tmp_path / "src")
+    pipe().run(src_in, src, reuse_from=[])
+    outs = {}
+    for name, reuse in (("plain", None), ("reuse", [src])):
+        out = str(tmp_path / name)
+        outs[name] = _run_outputs(out, pipe().run(mut_in, out, reuse_from=reuse))
+    _assert_same(outs["reuse"], outs["plain"])
+    vio = outs["reuse"][1]
+    assert set(vio[vio.rule_id == "doc_id_unique"].partition) >= {"part-0001", "part-0002"}
+    reused = _reused(str(tmp_path / "reuse"))
+    if corpus == "clean":
+        assert reused == {f"part-{p:04d}": src for p in (0, 1, 3, 4, 5)}
+    else:
+        assert reused == {}
+
+
+def test_reuse_off_hashes_nothing(ray_session, tmp_path, monkeypatch):
+    from etl_data_validation_kio_ray.pipelines import validate as V
+    from etl_data_validation_kio_ray.state.checkpoint import RunState
+
+    def refuse(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(V, "_file_sha256", refuse)
+    monkeypatch.setattr(V, "_carries_only_own_partition", refuse)
+    out = str(tmp_path / "out")
+    ValidationPipeline(allowed_sources=ALLOWED).run(_reuse_corpus(str(tmp_path / "in"), 3), out)
+    assert [m.key for m in RunState(out).all_manifests()] == [None] * 3
+
+
+def test_reuse_needs_the_same_bytes_not_size_and_mtime(ray_session, tmp_path):
+    """A file rewritten with the same size and mtime but other bytes is
+    validated again."""
+    import pyarrow as pa
+
+    from etl_data_validation_kio_ray.sources.synth import partition_file
+
+    plain = dict(compression="none", use_dictionary=False)
+    d = _reuse_corpus(str(tmp_path / "in"), 3, 100, **plain)
+    src = str(tmp_path / "src")
+    ValidationPipeline(allowed_sources=ALLOWED).run(d, src, reuse_from=[])
+
+    f = partition_file(d, 1)
+    st = os.stat(f)
+    t = pq.read_table(f)
+    tokens = t["tokens"].to_pylist()
+    tokens[3] = [-7] + tokens[3][1:]  # a vocab violation, same width
+    t = t.set_column(
+        t.schema.get_field_index("tokens"), "tokens", pa.array(tokens, t.schema.field("tokens").type)
+    )
+    pq.write_table(t, f, **plain)
+    os.utime(f, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert (os.stat(f).st_size, os.stat(f).st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+
+    out = str(tmp_path / "out")
+    res = ValidationPipeline(allowed_sources=ALLOWED).run(d, out, reuse_from=[src])
+    assert _reused(out) == {"part-0000": src, "part-0002": src}
+    inv = [c for c in res.verdicts if c.rule_id == "row_invariants" and c.status == "FAIL"]
+    assert [(c.partition, c.rows_failed) for c in inv] == [("part-0001", 1)]
+
+
+@pytest.mark.parametrize("change", ["allowed_sources", "vocab_size"])
+def test_reuse_needs_the_same_engine_config(ray_session, tmp_path, change):
+    from etl_data_validation_kio_ray.core.specs import default_rules
+
+    d = _reuse_corpus(str(tmp_path / "in"), 3)
+    src = str(tmp_path / "src")
+    ValidationPipeline(allowed_sources=ALLOWED).run(d, src, reuse_from=[])
+    same = str(tmp_path / "same")
+    ValidationPipeline(allowed_sources=ALLOWED).run(d, same, reuse_from=[src])
+    assert len(_reused(same)) == 3
+    if change == "allowed_sources":
+        other = ValidationPipeline(allowed_sources=ALLOWED + ["forums"])
+    else:
+        other = ValidationPipeline(
+            default_rules(vocab_size=60000, allowed_sources=ALLOWED), allowed_sources=ALLOWED
+        )
+    out = str(tmp_path / "out")
+    other.run(d, out, reuse_from=[src])
+    assert _reused(out) == {}
+
+
+def test_reuse_run_resumes_and_outlives_its_source(ray_session, tmp_path):
+    """A resumed reuse run gives the same outputs, and deleting the
+    source run afterwards changes none of them."""
+    import shutil
+
+    src_in = _reuse_corpus(str(tmp_path / "src_in"))
+    mut_in = _with_foreign_ids(src_in, str(tmp_path / "mut_in"))
+    src = str(tmp_path / "src")
+    ValidationPipeline(allowed_sources=ALLOWED).run(src_in, src, reuse_from=[])
+    out = str(tmp_path / "out")
+
+    def run():
+        res = ValidationPipeline(allowed_sources=ALLOWED, shard_size=4).run(
+            mut_in, out, reuse_from=[src]
+        )
+        return _run_outputs(out, res)
+
+    first = run()
+    reused = _reused(out)
+    assert len(reused) == 5
+    # lose a reused and a validated partition's manifests: resume redoes both
+    for p in ("part-0001", "part-0002"):
+        os.remove(os.path.join(out, "_manifests", f"{p}.json"))
+    _assert_same(run(), first)
+    assert _reused(out) == reused
+    shutil.rmtree(src)
+    from etl_data_validation_kio_ray.pipelines.validate import load_violations
+
+    pd.testing.assert_frame_equal(load_violations(out).to_pandas(), first[1])
