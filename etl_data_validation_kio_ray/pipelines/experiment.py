@@ -8,14 +8,17 @@ validation suite, and record whether the EXPECTED check caught it.
 Detection power of the rule set is the experiment's product — the
 reference's test strategy (SURVEY.md §5) as a first-class pipeline.
 
-Per iteration this runner writes a mutated copy of the baseline table
-(the unchanged files are hard links to the baseline's) and runs
-:class:`ValidationPipeline` over it. The baseline run records each
-partition's content key, and every mutated run reuses the baseline's
-outputs for the partitions whose files are unchanged
-(``run(reuse_from=[baseline])``), so only the changed partitions are
-validated. Each iteration's run dir is per-partition resumable like any
-other run. The runner scores:
+The runner writes a mutated copy of the baseline table per action (the
+unchanged files are hard links to the baseline's). The baseline run
+records each partition's content key, so a mutated run reuses the
+baseline's outputs for every partition whose file is unchanged
+(``reuse_from=[baseline]``) and validates only the changed ones. All
+mutated runs validate their changed partitions together, in one
+``ValidationPipeline.narrow_pass`` (one Ray execution per footer schema
+group, rows routed back to each run by file). ``run`` over each mutated
+input then finds every partition SUCCESS and adds only the run-scope
+checks (uniqueness, drift) and the verdicts. Each iteration's run dir is
+per-partition resumable like any other run. The runner scores:
 
     expected_rule fired AND its rows_failed INCREASED
         vs the baseline run                          -> "detected"
@@ -91,10 +94,14 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the fault-injection matrix over a clean input table.
 
-    ``pipeline_factory() -> ValidationPipeline`` builds a fresh pipeline
-    per run (rules/config identical across iterations, mirroring the
-    reference's per-iteration suite runs). Default: standard rules with
-    the synthetic allowed-sources dim.
+    ``pipeline_factory() -> ValidationPipeline`` builds the baseline's
+    pipeline and one more, which serves the shared narrow pass and every
+    mutated run, so their rules and config cannot differ. Default:
+    standard rules with the synthetic allowed-sources dim.
+
+    An iteration's ``duration_s`` is its mutation time, plus its
+    ``run`` time, plus an even share of the shared narrow pass; with the
+    baseline run they add up to the experiment's wall time.
     """
     if pipeline_factory is None:
         def pipeline_factory():
@@ -124,13 +131,24 @@ def run_experiment(
     base_rows = _rows_failed_by_rule(base_res)
 
     results = ExperimentResult(out_dir=out_dir, baseline_verdict=base_res.run_verdict)
+    dirs = {
+        a: (os.path.join(out_dir, f"input_{a}"), os.path.join(out_dir, f"run_{a}"))
+        for a in actions
+    }
+    spent: dict[str, float] = {}
+    for action in actions:
+        t0 = time.time()
+        mutate_table(clean_input, dirs[action][0], action)
+        spent[action] = time.time() - t0
+    pipe = pipeline_factory()
+    t0 = time.time()
+    pipe.narrow_pass(list(dirs.values()), resume=True, reuse_from=[base_dir])
+    shared = (time.time() - t0) / max(1, len(actions))
     for action in actions:
         t0 = time.time()
         expected = EXPECTED_DETECTION[action]
-        mut_dir = os.path.join(out_dir, f"input_{action}")
-        run_dir = os.path.join(out_dir, f"run_{action}")
-        mutate_table(clean_input, mut_dir, action)
-        res = pipeline_factory().run(mut_dir, run_dir, resume=True, reuse_from=[base_dir])
+        mut_dir, run_dir = dirs[action]
+        res = pipe.run(mut_dir, run_dir, resume=True, reuse_from=[base_dir])
         fired = sorted(
             {
                 c.rule_id
@@ -162,7 +180,7 @@ def run_experiment(
                 fired_rules=fired,
                 run_verdict=res.run_verdict,
                 detected=detected,
-                duration_s=time.time() - t0,
+                duration_s=spent[action] + shared + (time.time() - t0),
                 run_dir=run_dir,
             )
         )

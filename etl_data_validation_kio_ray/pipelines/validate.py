@@ -4,22 +4,30 @@ The Ray-Data re-expression of the reference's run lifecycle
 (/root/reference/scripts/run_manual_experiments.py:539-662 and the
 suite runner /root/reference/src/app2/validators/runner.py:109-228):
 
-  pending partition files
-    -> reuse (run(reuse_from=[...]) only): a partition whose content key
+  narrow_pass(jobs): the pending partition files of one run (run()) or
+  of several runs at once (e.g. an experiment's mutated runs)
+    -> reuse (reuse_from=[...] only): a partition whose content key
        (file stem, sha256 of the file, engine config) matches a SUCCESS
        partition of a source run links that run's raw outputs into
-       raw/reused-*/ instead of being read
-  read_parquet(the other pending files, pruned columns)
-    -> map_batches(CachedEngineFn(RuleEngine))    # all narrow rules, fused into
+       raw/reused-*/ instead of being read; each distinct file is hashed
+       once per call
+    read_parquet(the other pending files of every job, pruned columns)
+      -> map_batches(CachedEngineFn(RuleEngine))  # all narrow rules, fused into
                                                   # the read task; small files share
                                                   # a task (core/resources.read_tasks)
-    -> write_parquet(raw/<shard>/, partition_cols=['kind'])
-                          # violations + stat partials + doc_id hash blobs
-  kind=hash blobs -> id hashes seen twice        # the wide rule: a driver
-                                                 # sort below DRIVER_UNIQUE_MAX_BYTES,
-                                                 # else the bucketed blob exchange
-    -> read_parquet(columns=[doc_id]) exact confirm of the candidates only
-  merge partials -> verdicts / metrics / drift -> manifests + summary
+      -> write_parquet(raw/<shard>/, partition_cols=['kind'])
+                          # violations + stat partials + doc_id hash blobs;
+                          # a read spanning several jobs writes to the first
+                          # job's raw/_shared/ with each row's file, and each
+                          # job's shard gets its own files' rows
+    -> per-partition manifests with the narrow checks
+  run(): narrow_pass([its one job]), then the run-scope checks
+    kind=hash blobs -> id hashes seen twice     # the wide rule: a driver
+                                                # sort below DRIVER_UNIQUE_MAX_BYTES,
+                                                # else the bucketed blob exchange
+      -> read_parquet(columns=[doc_id, partition]) one exact confirm scan of
+         the candidates: the counts and the violation rows
+    merge partials -> verdicts / metrics / drift -> manifests + summary
 
 Every reader of the raw/ outputs goes through ``_owned_outputs``: a
 partition's rows count only from the shard its SUCCESS manifest names
@@ -33,9 +41,10 @@ then are a partition's outputs a function of its own file.
 Resume: input is one Parquet file per partition; partitions whose
 manifest is already SUCCESS are pruned from the read (the file is never
 opened again) — the file-level analog of the reference's
-``only_unprocessed`` discovery filter (discovery.py:203-223). Work is
-chunked into shards of ``shard_size`` partitions, each committed
-atomically, bounding recomputation after a crash.
+``only_unprocessed`` discovery filter (discovery.py:203-223). So a run()
+over a run dir that a shared narrow_pass filled does only the run-scope
+checks. Work is chunked into shards of ``shard_size`` partitions, each
+committed atomically, bounding recomputation after a crash.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ from .. import __version__
 from ..core.resources import CachedEngineFn, read_args
 from ..core.specs import RuleSpec, default_rules
 from ..core.verdicts import CheckResult, gate_status, partition_verdict
-from ..sketches import CountingHist, FixedHistogram, HyperLogLog, TDigest
+from ..sketches import CountingHist, FixedHistogram, HyperLogLog
 from ..stages.drift import load_baseline_snapshot, score_drift, build_baseline_snapshot
 from ..sources.storage import link_or_copy
 from ..stages.rule_engine import (
@@ -76,7 +85,7 @@ from ..stages.rule_engine import (
 from ..stages.uniqueness import (
     candidate_hashes_from_blobs,
     confirm_duplicates,
-    duplicate_violations,
+    occurrence_violations,
 )
 from ..state.checkpoint import SUCCESS, RunState
 
@@ -100,6 +109,27 @@ class RunResult:
         deterministic comparison regardless of block order
         (SURVEY.md §7.4 'exactness under distribution')."""
         return load_violations(self.out_dir)
+
+
+@dataclass
+class NarrowJob:
+    """One run's share of a narrow pass: what ``run`` goes on from."""
+
+    out_dir: str
+    state: RunState
+    files: dict[str, str]
+    pending: list[str]
+    # partition -> owning raw shard, kept current as shards commit
+    owners: dict[str, str]
+    content_keys: dict[str, str] = field(default_factory=dict)
+    reused: dict[str, tuple[str, str]] = field(default_factory=dict)
+    # shard -> partition -> rule -> merged partial state, for the shards
+    # this pass committed or linked
+    shard_stats: dict[str, dict[str, dict[str, dict]]] = field(default_factory=dict)
+    # partitions whose input file is unreadable: their checks stay
+    # visible, their manifests are FAILED
+    unreadable: dict[str, list[CheckResult]] = field(default_factory=dict)
+    phases: dict[str, float] = field(default_factory=dict)
 
 
 def load_violations(out_dir: str) -> pa.Table:
@@ -143,7 +173,6 @@ def _merge_stats(a: dict, b: dict) -> dict:
         ("n_tok_hist", CountingHist),
         ("n_tok_fixed", FixedHistogram),
         ("doc_id_hll", HyperLogLog),
-        ("n_tok_tdigest", TDigest),
     ):
         if key in a and key in b:
             out[key] = cls.from_state(a[key]).merge(cls.from_state(b[key])).to_state()
@@ -180,13 +209,6 @@ def _stats_metrics(state: dict) -> dict[str, Any]:
             "p50": h.quantile(0.5),
             "p95": h.quantile(0.95),
             "p99": h.quantile(0.99),
-        }
-    if "n_tok_tdigest" in state:
-        td = TDigest.from_state(state["n_tok_tdigest"])
-        m["n_tok_tdigest"] = {
-            "p50": td.quantile(0.5),
-            "p95": td.quantile(0.95),
-            "p99": td.quantile(0.99),
         }
     if "doc_id_hll" in state:
         m["doc_id_cardinality_est"] = HyperLogLog.from_state(state["doc_id_hll"]).estimate()
@@ -258,21 +280,41 @@ class ValidationPipeline:
         )
         return hashlib.sha256(blob).hexdigest()
 
-    def _reuse_keys(self, files: dict[str, str], parts: list[str]) -> dict[str, str]:
-        """Content key of each of ``parts``: its file stem, a sha256 of
-        its file's bytes and the engine key. Empty unless every file of
-        the run is shown by its footer to carry only its own partition:
-        the engine keys rows by their ``partition`` value, so only then
-        are a partition's outputs a function of its own file alone."""
-        with ThreadPoolExecutor(max_workers=min(16, max(1, len(files)))) as ex:
-            if not all(ex.map(_carries_only_own_partition, files.values())):
-                return {}
-            digests = list(ex.map(_file_sha256, [files[p] for p in parts]))
+    def _key_jobs(self, jobs: list[NarrowJob]) -> None:
+        """Content key of each pending partition of each job: its file
+        stem, a sha256 of its file's bytes and the engine key. A job is
+        keyed only when every one of its files is shown by its footer to
+        carry only its own partition: the engine keys rows by their
+        ``partition`` value, so only then are a partition's outputs a
+        function of its own file alone. A file that several jobs link is
+        gated and hashed once per call, by (st_dev, st_ino); nothing is
+        kept from one call to the next."""
+        jobs = [j for j in jobs if j.pending]
+        ident = {f: _file_id(f) for j in jobs for f in j.files.values()}
+        # the gate compares the footer with the name, so a file linked
+        # under another name is gated again
+        gates: dict[tuple, str] = {}
+        for f, fid in ident.items():
+            gates.setdefault((fid, file_partition(f)), f)
+        with ThreadPoolExecutor(max_workers=min(16, max(1, len(gates)))) as ex:
+            ok = dict(zip(gates, ex.map(_carries_only_own_partition, gates.values())))
+            keyed = [
+                j for j in jobs
+                if all(ok[ident[f], file_partition(f)] for f in j.files.values())
+            ]
+            todo: dict[tuple, str] = {}
+            for j in keyed:
+                for p in j.pending:
+                    todo.setdefault(ident[j.files[p]], j.files[p])
+            digests = dict(zip(todo, ex.map(_file_sha256, todo.values())))
         engine = self._engine_key()
-        return {
-            p: hashlib.sha256(f"{p}\0{d}\0{engine}".encode()).hexdigest()
-            for p, d in zip(parts, digests)
-        }
+        for j in keyed:
+            j.content_keys = {
+                p: hashlib.sha256(
+                    f"{p}\0{digests[ident[j.files[p]]]}\0{engine}".encode()
+                ).hexdigest()
+                for p in j.pending
+            }
 
     def _map_engine(self, ds, engine_kwargs: dict):
         """Apply the rule engine to a Dataset: a task-based
@@ -399,6 +441,170 @@ class ValidationPipeline:
             partials, snapshot_dir, meta={"input": input_path}
         )
 
+    # ------------------------------------------------------------ narrow pass
+
+    def narrow_pass(
+        self,
+        jobs: list[tuple[str, str]],
+        *,
+        resume: bool = True,
+        reuse_from: list[str] | None = None,
+    ) -> list[NarrowJob]:
+        """Validate the narrow rules of the pending partitions of several
+        runs, each job an ``(input_path, out_dir)``, and commit their
+        manifests; ``run`` over such a run dir (``resume=True``) finds
+        them SUCCESS and adds only the run-scope checks. ``resume`` and
+        ``reuse_from`` are ``run``'s, for every job.
+
+        Shard ``k`` of every job is validated in one read -> engine ->
+        write execution per footer schema group. A read that spans
+        several jobs carries its file paths: the engine tags each row
+        with its file, and each job's shard gets the rows of its own
+        files (never routed by the ``partition`` value, which two jobs'
+        files may share). If the execution raises, every partition
+        claimed for it, of every job, is marked FAILED."""
+        outs = [os.path.realpath(out_dir) for _, out_dir in jobs]
+        if len(set(outs)) < len(outs):
+            raise ValueError("narrow_pass: two jobs share an out_dir")
+        runs = [_open_job(input_path, out_dir, resume) for input_path, out_dir in jobs]
+        if reuse_from is not None:
+            t_phase = time.time()
+            self._key_jobs(runs)
+            index = _reuse_index(reuse_from) if any(j.content_keys for j in runs) else {}
+            for j in runs:
+                j.reused = {p: index[k] for p, k in j.content_keys.items() if k in index}
+                j.phases["reuse_keys"] = round(time.time() - t_phase, 3)
+
+        t_narrow = time.time()
+        for j in runs:
+            self._link_reused(j, reuse_from)
+        # round k validates shard k of every job: each job's shards
+        # commit one at a time, bounding recomputation after a crash
+        shards = []
+        for j in runs:
+            fresh = [p for p in j.pending if p not in j.reused]
+            shards.append(
+                [fresh[i : i + self.shard_size] for i in range(0, len(fresh), self.shard_size)]
+            )
+        rounds = max(map(len, shards), default=0)
+        allowed_ref = self._allowed_ref() if rounds else None
+        for k in range(rounds):
+            self._validate_round(
+                [(j, s[k]) for j, s in zip(runs, shards) if k < len(s)], allowed_ref
+            )
+        for j in runs:
+            j.phases["narrow_pass"] = round(time.time() - t_narrow, 3)
+        return runs
+
+    def _link_reused(self, job: NarrowJob, reuse_from: list[str] | None) -> None:
+        """Link each source shard's outputs into a shard of the job's
+        run, which the reused partitions' manifests name; the ownership
+        readers keep only their rows. Nothing is claimed or read."""
+        by_source: dict[tuple[str, str], list[str]] = {}
+        for p in sorted(job.reused):
+            by_source.setdefault(job.reused[p], []).append(p)
+        for (src, src_shard), parts in sorted(by_source.items()):
+            shard_name, shard_dir = _unowned_shard_dir(
+                job.out_dir, f"reused-{reuse_from.index(src)}-{src_shard}", job.owners
+            )
+            _link_outputs(os.path.join(src, "raw", src_shard), shard_dir)
+            merged = job.shard_stats[shard_name] = _read_partials(
+                _kind_files(shard_dir, "partial")
+            )
+            items = []
+            for p in parts:
+                checks = self._narrow_checks(p, merged.get(p, {}), input_file=job.files[p])
+                fields = {"shard": shard_name, "key": job.content_keys[p], "reused_from": src}
+                items.append((p, {**_manifest(checks), **fields}))
+            job.state.finish_many(items)
+            job.owners.update((p, shard_name) for p in parts)
+
+    def _validate_round(self, shards: list[tuple[NarrowJob, list[str]]], allowed_ref) -> None:
+        """Validate one shard of each of several jobs, then commit each."""
+        import ray.data as rd
+
+        claimed = []
+        for job, shard in shards:
+            job.state.claim_many(shard)
+            claimed.append(
+                (job, shard, *_unowned_shard_dir(job.out_dir, f"shard-{shard[0]}", job.owners))
+            )
+        try:
+            # input file -> the shard dirs (one per job) that take its rows
+            takers: dict[str, list[str]] = {}
+            for job, shard, _, shard_dir in claimed:
+                for p in shard:
+                    takers.setdefault(job.files[p], []).append(shard_dir)
+            # files may disagree on schema (a column dropped upstream is
+            # itself a finding): group by footer schema, read each group
+            # with the columns it actually has — the engine's schema
+            # rule reports the gap
+            for g, (cols, group_files) in enumerate(
+                _schema_groups(list(takers), list(ENGINE_COLS))
+            ):
+                dirs = sorted({d for f in group_files for d in takers[f]})
+                shared = len(dirs) > 1
+                # whole files per task, small ones packed up to
+                # READ_TASK_BYTES (core/resources.read_tasks): each task
+                # runs ReadParquet -> engine -> Write fused (no
+                # object-store hop for the decoded token column). Files
+                # are never split: a multi-GB partition file would need
+                # splitting instead. A read that spans several jobs, or
+                # a file without the partition column, is read with its
+                # paths: the engine checks file by file and tags its rows
+                # with the file (keyed by its stem when it has no
+                # partition column).
+                ds = rd.read_parquet(
+                    group_files,
+                    columns=cols,
+                    include_paths=shared or PARTITION_COL not in cols,
+                    **read_args(group_files),
+                )
+                mapped = self._map_engine(ds, self._engine_kwargs(allowed_ref))
+                if not shared:
+                    mapped.write_parquet(os.path.join(dirs[0], f"g{g}"), partition_cols=["kind"])
+                    continue
+                # the shared execution's output stays in the first job's
+                # raw/_shared/; each job's shard gets a copy of its rows
+                first = claimed[0]
+                staging = os.path.join(first[0].out_dir, "raw", "_shared", f"{first[2]}-g{g}")
+                if os.path.isdir(staging):
+                    shutil.rmtree(staging)
+                mapped.write_parquet(staging, partition_cols=["kind"])
+                _route_by_file(
+                    staging,
+                    {f: [os.path.join(d, f"g{g}") for d in takers[f]] for f in group_files},
+                )
+            for job, shard, shard_name, shard_dir in claimed:
+                self._commit_shard(job, shard, shard_name, shard_dir)
+        except Exception as e:  # noqa: BLE001 — manifests record the failure
+            for job, shard, _, _ in claimed:
+                for p in shard:
+                    job.state.fail(p, repr(e))
+            raise
+
+    def _commit_shard(
+        self, job: NarrowJob, shard: list[str], shard_name: str, shard_dir: str
+    ) -> None:
+        """Per-partition manifests of a validated shard, with the narrow
+        checks (``run`` appends the run-scope ones). A partition whose
+        input file is unreadable keeps its checks in ``job.unreadable``
+        and its manifest is marked FAILED — not SUCCESS — so a resumed
+        run after the file is repaired validates it again."""
+        merged = job.shard_stats[shard_name] = _read_partials(_kind_files(shard_dir, "partial"))
+        items = []
+        for p in shard:
+            checks = self._narrow_checks(p, merged.get(p, {}), input_file=job.files[p])
+            if any((c.metrics or {}).get("unreadable_input") for c in checks):
+                job.state.fail(p, f"unreadable input file: {job.files[p]}")
+                job.unreadable[p] = checks
+                continue
+            items.append(
+                (p, {**_manifest(checks), "shard": shard_name, "key": job.content_keys.get(p)})
+            )
+        job.state.finish_many(items)
+        job.owners.update((p, shard_name) for p, _ in items)
+
     # ------------------------------------------------------------ run
 
     def run(
@@ -410,7 +616,8 @@ class ValidationPipeline:
         reuse_from: list[str] | None = None,
     ) -> RunResult:
         """Validate every partition file under ``input_path`` into
-        ``out_dir``.
+        ``out_dir``: the narrow rules (``narrow_pass``), then the
+        run-scope uniqueness and drift checks and the verdicts.
 
         ``reuse_from``: None validates every pending partition and hashes
         nothing. A list (``[]`` included) records each partition's
@@ -420,132 +627,11 @@ class ValidationPipeline:
         import ray.data as rd
 
         t0 = time.time()
-        phases: dict[str, float] = {}
         os.makedirs(out_dir, exist_ok=True)
-        state = RunState(out_dir)
-        files = discover_partition_files(input_path)
+        RunState(out_dir).audit.append("run_start", input=input_path, resume=resume)
+        job = self.narrow_pass([(input_path, out_dir)], resume=resume, reuse_from=reuse_from)[0]
+        state, files, owners, phases = job.state, job.files, job.owners, job.phases
         all_parts = sorted(files)
-        done = state.completed() if resume else set()
-        pending = [p for p in all_parts if p not in done]
-        state.audit.append(
-            "run_start",
-            input=input_path,
-            partitions=len(all_parts),
-            pending=len(pending),
-            resume=resume,
-        )
-        if done:
-            state.audit.append(
-                "resume_skip", partitions=sorted(done), n=len(done)
-            )
-
-        content_keys: dict[str, str] = {}
-        reused: dict[str, tuple[str, str]] = {}
-        if reuse_from is not None:
-            t_phase = time.time()
-            content_keys = self._reuse_keys(files, pending)
-            reused = _reusable(content_keys, reuse_from)
-            phases["reuse_keys"] = round(time.time() - t_phase, 3)
-
-        allowed_ref = self._allowed_ref()
-
-        # partial states of shards processed THIS run, kept in memory so
-        # the post-loop reduce only re-reads shards from PRIOR (resumed)
-        # runs
-        fresh_shard_stats: dict[str, dict[str, dict[str, dict]]] = {}
-
-        # owners snapshot read ONCE (each read walks every manifest);
-        # kept current incrementally as this run commits shards
-        owners = state.shard_owners()
-
-        # partitions whose input file is unreadable: their verdict rows
-        # stay visible (schema FAIL, unreadable_input) but the manifest
-        # is marked FAILED — not SUCCESS — so a resumed run after the
-        # file is repaired re-validates it instead of skipping it
-        unreadable_parts: dict[str, list[CheckResult]] = {}
-
-        t_narrow = time.time()
-        # reused partitions: each source shard's outputs are linked into
-        # a shard of this run, which their manifests name; the ownership
-        # readers keep only their rows. Nothing is claimed or read.
-        by_source: dict[tuple[str, str], list[str]] = {}
-        for p in sorted(reused):
-            by_source.setdefault(reused[p], []).append(p)
-        for (src, src_shard), parts in sorted(by_source.items()):
-            shard_name, shard_dir = _unowned_shard_dir(
-                out_dir, f"reused-{reuse_from.index(src)}-{src_shard}", owners
-            )
-            _link_outputs(os.path.join(src, "raw", src_shard), shard_dir)
-            merged = fresh_shard_stats[shard_name] = _read_partials(
-                _kind_files(shard_dir, "partial")
-            )
-            items = []
-            for p in parts:
-                checks = self._narrow_checks(p, merged.get(p, {}), input_file=files[p])
-                fields = {"shard": shard_name, "key": content_keys[p], "reused_from": src}
-                items.append((p, {**_manifest(checks), **fields}))
-            state.finish_many(items)
-            owners.update((p, shard_name) for p in parts)
-
-        fresh = [p for p in pending if p not in reused]
-        for i in range(0, len(fresh), self.shard_size):
-            shard = fresh[i : i + self.shard_size]
-            state.claim_many(shard)
-            shard_name, shard_dir = _unowned_shard_dir(out_dir, f"shard-{shard[0]}", owners)
-            try:
-                # files may disagree on schema (a column dropped upstream
-                # is itself a finding): group by footer schema, read each
-                # group with the columns it actually has — the engine's
-                # schema rule reports the gap
-                for j, (cols, group_files) in enumerate(
-                    _schema_groups([files[p] for p in shard], list(ENGINE_COLS))
-                ):
-                    # whole files per task, small ones packed up to
-                    # READ_TASK_BYTES (core/resources.read_tasks): each
-                    # task runs ReadParquet -> engine -> Write fused (no
-                    # object-store hop for the decoded token column).
-                    # Files are never split: a multi-GB partition file
-                    # would need splitting instead. A file without the
-                    # partition column is read with its path, so the
-                    # engine keys its rows by the file stem.
-                    ds = rd.read_parquet(
-                        group_files,
-                        columns=cols,
-                        include_paths=PARTITION_COL not in cols,
-                        **read_args(group_files),
-                    )
-                    mapped = self._map_engine(ds, self._engine_kwargs(allowed_ref))
-                    mapped.write_parquet(
-                        os.path.join(shard_dir, f"g{j}"), partition_cols=["kind"]
-                    )
-                # commit this shard: per-partition manifests with the
-                # narrow-rule checks (run-scope checks appended later)
-                merged = fresh_shard_stats[shard_name] = _read_partials(
-                    _kind_files(shard_dir, "partial")
-                )
-                items = []
-                for p in shard:
-                    checks = self._narrow_checks(
-                        p, merged.get(p, {}), input_file=files.get(p)
-                    )
-                    if any(
-                        (c.metrics or {}).get("unreadable_input") for c in checks
-                    ):
-                        state.fail(p, f"unreadable input file: {files.get(p)}")
-                        unreadable_parts[p] = checks
-                        continue
-                    items.append(
-                        (p, {**_manifest(checks), "shard": shard_name, "key": content_keys.get(p)})
-                    )
-                state.finish_many(items)
-                for p, _ in items:
-                    owners[p] = shard_name
-            except Exception as e:  # noqa: BLE001 — manifest records the failure
-                for p in shard:
-                    state.fail(p, repr(e))
-                raise
-
-        phases["narrow_pass"] = round(time.time() - t_narrow, 3)
         t_phase = time.time()
 
         # all partitions' merged stats (this run + prior resumed runs),
@@ -553,7 +639,7 @@ class ValidationPipeline:
         # runs' re-read from their tiny kind=partial outputs
         shard_stats: dict[str, dict[str, dict]] = {}
         for shard_name, part_files, owned in _owned_outputs(out_dir, "partial", owners):
-            reduced = fresh_shard_stats.get(shard_name)
+            reduced = job.shard_stats.get(shard_name)
             if reduced is None:
                 reduced = _read_partials(part_files)
             shard_stats.update((p, reduced[p]) for p in owned if p in reduced)
@@ -603,31 +689,23 @@ class ValidationPipeline:
         uniq_spec = self.rules.get("doc_id_unique")
         if uniq_spec and uniq_spec.enabled:
             cand = _candidate_hashes(out_dir, owners)
-            if cand is None:
-                cand = pa.table({"h": pa.array([], pa.int64())})
-            dup_table = pa.table(
-                {
-                    ID_COL: pa.array([], pa.string()),
-                    "dup_count": pa.array([], pa.int64()),
-                }
-            )
+            uniq_dir = os.path.join(out_dir, "unique_violations")
+            if os.path.isdir(uniq_dir):
+                shutil.rmtree(uniq_dir)  # run-scope check is recomputed whole
+            os.makedirs(uniq_dir)
             # input files by whether they carry a partition column (an
             # unreadable file carries no ids)
             key_files: dict[bool, list[str]] = {}
-            if cand.num_rows:
+            if cand is not None and cand.num_rows:
                 for f in sorted(files.values()):
                     names = _footer_names(f) or set()
                     if ID_COL in names:
                         key_files.setdefault(PARTITION_COL in names, []).append(f)
-                id_files = sorted(f for fs in key_files.values() for f in fs)
-                keys = rd.read_parquet(id_files, columns=[ID_COL], **read_args(id_files))
-                dup_table = confirm_duplicates(keys, cand, ID_COL)
-            uniq_dir = os.path.join(out_dir, "unique_violations")
-            if os.path.isdir(uniq_dir):
-                shutil.rmtree(uniq_dir)  # run-scope check is recomputed whole
-            if dup_table.num_rows:
-                # rows of a file without the column count under its
-                # stem, as the rule engine keys them
+            if key_files:
+                # one scan of (doc_id, partition) gives both the counts
+                # and the violation rows; rows of a file without the
+                # column count under its stem, as the rule engine keys
+                # them
                 first, *rest = (
                     rd.read_parquet(fs, columns=[ID_COL, PARTITION_COL], **read_args(fs))
                     if has
@@ -637,15 +715,16 @@ class ValidationPipeline:
                     for has, fs in sorted(key_files.items(), reverse=True)
                 )
                 keys = first.union(*rest) if rest else first
-                vio = duplicate_violations(keys, dup_table, ID_COL, PARTITION_COL)
-                vio.write_parquet(uniq_dir)
-                vt = pads.dataset(uniq_dir).to_table(columns=["partition"])
-                vals, counts = np.unique(
-                    np.asarray(vt["partition"].to_pylist()), return_counts=True
-                )
-                dup_violation_counts = {str(v): int(c) for v, c in zip(vals, counts)}
-            else:
-                os.makedirs(uniq_dir, exist_ok=True)
+                dup_table = confirm_duplicates(keys, cand, ID_COL, PARTITION_COL)
+                if dup_table.num_rows:
+                    import pyarrow.parquet as pq
+
+                    vio = occurrence_violations(dup_table, ID_COL, PARTITION_COL)
+                    pq.write_table(vio, os.path.join(uniq_dir, "part-0.parquet"))
+                    counts = pc.value_counts(vio["partition"])
+                    dup_violation_counts = dict(
+                        zip(counts.field("values").to_pylist(), counts.field("counts").to_pylist())
+                    )
 
         phases["uniqueness"] = round(time.time() - t_phase, 3)
         t_phase = time.time()
@@ -681,6 +760,7 @@ class ValidationPipeline:
             rules_states = shard_stats[part]
             stats_rows = rules_states.get("column_stats", {}).get("rows_total", 0)
             checks = self._narrow_checks(part, rules_states, input_file=files.get(part))
+            stats_check = next((c for c in checks if c.rule_id == "column_stats"), None)
             if uniq_spec and uniq_spec.enabled:
                 rf = dup_violation_counts.get(part, 0)
                 checks.append(
@@ -702,15 +782,17 @@ class ValidationPipeline:
             checks.sort(key=lambda c: rule_order.get(c.rule_id, -1))
             finish_items.append((part, _manifest(checks)))
             verdicts.extend(checks)
-            if "column_stats" in rules_states:
+            if stats_check is not None:
+                metrics["partitions"][part] = stats_check.metrics
+            elif "column_stats" in rules_states:
                 metrics["partitions"][part] = _stats_metrics(rules_states["column_stats"])
         state.finish_many(finish_items)
         if global_stats:
             metrics["global"] = _stats_metrics(global_stats)
 
         # unreadable inputs: verdict rows visible, manifests FAILED
-        for part in sorted(unreadable_parts):
-            verdicts.extend(unreadable_parts[part])
+        for part in sorted(job.unreadable):
+            verdicts.extend(job.unreadable[part])
 
         phases["verdicts"] = round(time.time() - t_phase, 3)
         metrics["phases"] = phases
@@ -791,31 +873,65 @@ def _link_outputs(src_shard_dir: str, shard_dir: str) -> None:
         link_or_copy(f, dst)
 
 
-def _reusable(keys: dict[str, str], sources: list[str]) -> dict[str, tuple[str, str]]:
-    """partition -> (source run, its shard) for each keyed partition
-    that a source run finished (SUCCESS) under the same key; the first
-    listed source wins. A source counts only when it keyed every one of
-    its partitions (all its files carried only their own partition);
-    a source that holds no run is skipped."""
-    want = {k: p for p, k in keys.items()}
+def _reuse_index(sources: list[str]) -> dict[str, tuple[str, str]]:
+    """content key -> (source run, its shard) of every partition that a
+    source run finished (SUCCESS); the first listed source wins. A
+    source counts only when it keyed every one of its partitions (all
+    its files carried only their own partition); a source that holds no
+    run is skipped."""
     found: dict[str, tuple[str, str]] = {}
-    for src in sources if keys else []:
+    for src in sources:
         if not os.path.isdir(os.path.join(src, "_manifests")):
             continue
         manifests = RunState(src, read_only=True).all_manifests()
         if any(m.key is None for m in manifests):
             continue
         for m in manifests:
-            p = want.get(m.key)
             if (
-                p is not None
-                and p not in found
+                m.key not in found
                 and m.status == SUCCESS
                 and m.shard
                 and os.path.isdir(os.path.join(src, "raw", m.shard))
             ):
-                found[p] = (src, m.shard)
+                found[m.key] = (src, m.shard)
     return found
+
+
+def _open_job(input_path: str, out_dir: str, resume: bool) -> NarrowJob:
+    """A narrow-pass job: its run dir, input files and the partitions
+    still to validate (all of them unless ``resume``)."""
+    os.makedirs(out_dir, exist_ok=True)
+    state = RunState(out_dir)
+    files = discover_partition_files(input_path)
+    done = state.completed() if resume else set()
+    pending = [p for p in sorted(files) if p not in done]
+    state.audit.append(
+        "narrow_start", input=input_path, partitions=len(files), pending=len(pending), resume=resume
+    )
+    if done:
+        state.audit.append("resume_skip", partitions=sorted(done), n=len(done))
+    return NarrowJob(out_dir, state, files, pending, state.shard_owners())
+
+
+def _route_by_file(staging: str, dests: dict[str, list[str]]) -> None:
+    """Copy the output rows of a read that spanned several jobs, under
+    ``staging`` (one ``kind=*`` dir each), into the dirs ``dests`` names
+    for the file each row came from (its ``path`` column)."""
+    import pyarrow.parquet as pq
+
+    by_dest: dict[str, list[str]] = {}
+    for f, dirs in dests.items():
+        for d in dirs:
+            by_dest.setdefault(d, []).append(f)
+    for kind_dir in sorted(glob.glob(os.path.join(staging, "kind=*"))):
+        t = pads.dataset(kind_dir, format="parquet").to_table()
+        paths = t[PATH_COL]
+        t = t.drop_columns([PATH_COL])
+        for d, fs in sorted(by_dest.items()):
+            rows = t.filter(pc.is_in(paths, value_set=pa.array(fs, pa.string())))
+            if rows.num_rows:
+                os.makedirs(os.path.join(d, os.path.basename(kind_dir)))
+                pq.write_table(rows, os.path.join(d, os.path.basename(kind_dir), "routed.parquet"))
 
 
 def _carries_only_own_partition(path: str) -> bool:
@@ -843,6 +959,11 @@ def _carries_only_own_partition(path: str) -> bool:
         and st.min == stem == st.max
         for st in stats
     )
+
+
+def _file_id(path: str) -> tuple[int, int]:
+    st = os.stat(path)
+    return st.st_dev, st.st_ino
 
 
 def _file_sha256(path: str) -> str:

@@ -24,10 +24,13 @@ the thing to avoid):
                         64-bit doc_id hashes back to back; null for
                         violations)
 
-Rows are keyed by their ``partition`` value. A batch without that
-column but with the reader's ``path`` column (``read_parquet(...,
-include_paths=True)``) is keyed by each row's file stem, the partition
-the file stands for, and its schema check reports the missing column.
+Rows are keyed by their ``partition`` value. A batch read with the
+reader's ``path`` column (``read_parquet(..., include_paths=True)``) is
+checked file by file, and every output row carries its file's ``path``,
+so a read that spans several runs can hand each run its own files' rows.
+A file without the ``partition`` column is keyed by its stem, the
+partition the file stands for, and its schema check reports the missing
+column.
 
 Wide rules (doc_id uniqueness) cannot be computed in a narrow pass: the
 engine emits one 'hash' row per (batch, partition) and the run-scope
@@ -48,7 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core.specs import RuleSpec
-from ..sketches import CountingHist, FixedHistogram, HyperLogLog, TDigest
+from ..sketches import CountingHist, FixedHistogram, HyperLogLog
 from ..sketches.hll import hash64
 
 UNION_SCHEMA = pa.schema(
@@ -67,6 +70,8 @@ UNION_SCHEMA = pa.schema(
 ENGINE_COLS = ("doc_id", "tokens", "n_tok", "source", "partition")
 ID_COL, TOKEN_COL, LEN_COL, SOURCE_COL, PARTITION_COL = ENGINE_COLS
 PATH_COL = "path"  # the file column of read_parquet(include_paths=True)
+# output of a batch read with its paths: each row names its file
+PATH_SCHEMA = UNION_SCHEMA.append(pa.field(PATH_COL, pa.string()))
 EXPECTED_SCHEMA = pa.schema(
     [
         (ID_COL, pa.string()),
@@ -103,6 +108,20 @@ def rules_vocab_size(rules: dict[str, RuleSpec]) -> int:
 def file_partition(path: str) -> str:
     """The partition a file stands for: its stem."""
     return os.path.splitext(os.path.basename(path))[0]
+
+
+def _file_runs(paths) -> list[tuple[str, int, int]]:
+    """(path, start, stop) of each run of equal consecutive values of a
+    ``path`` column; a reader block holds each file's rows together."""
+    enc = pc.dictionary_encode(
+        paths.combine_chunks() if isinstance(paths, pa.ChunkedArray) else paths
+    )
+    idx = enc.indices.to_numpy(zero_copy_only=False)
+    cuts = (np.flatnonzero(np.diff(idx)) + 1).tolist()
+    starts, stops = [0, *cuts], [*cuts, len(idx)]
+    return [
+        (enc.dictionary[int(idx[a])].as_py(), a, b) for a, b in zip(starts, stops) if b > a
+    ]
 
 
 def _empty_like(n: int) -> dict[str, list]:
@@ -170,21 +189,29 @@ class RuleEngine:
     # ------------------------------------------------------------------ main
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if PATH_COL not in batch.column_names:
+            return self._check(batch)
+        outs = [PATH_SCHEMA.empty_table()]
+        for path, start, stop in _file_runs(batch[PATH_COL]):
+            sub = batch.slice(start, stop - start).drop_columns([PATH_COL])
+            t = self._check(sub, path)
+            outs.append(t.append_column(PATH_COL, pa.array([path] * t.num_rows, pa.string())))
+        return pa.concat_tables(outs)
+
+    def _check(self, batch: pa.Table, path: str | None = None) -> pa.Table:
+        """Output rows of one batch; ``path``: the file all its rows
+        come from, if known."""
         out = _empty_like(0)
-        keys, name, from_path = None, str, False
         if PARTITION_COL in batch.column_names:
             keys = batch[PARTITION_COL]
-        elif PATH_COL in batch.column_names:
-            keys, name, from_path = batch[PATH_COL], file_partition, True
-            batch = batch.drop_columns([PATH_COL])
-        if keys is not None:
             parts = pc.unique(keys)
             if len(parts) == 1:
-                self._process(batch, name(parts[0].as_py()), out, from_path)
+                self._process(batch, parts[0].as_py(), out)
             else:
                 for pval in sorted(p.as_py() for p in parts):
-                    mask = pc.equal(keys, pa.scalar(pval))
-                    self._process(batch.filter(mask), name(pval), out, from_path)
+                    self._process(batch.filter(pc.equal(keys, pa.scalar(pval))), pval, out)
+        elif path is not None:
+            self._process(batch, file_partition(path), out, from_path=True)
         else:
             self._process(batch, "all", out)
         return pa.table(
@@ -621,17 +648,15 @@ class RuleEngine:
         exact count_sql scalars + mart aggregates (specs.py:421-426,
         mart_views.sql:62-95) with the sketch partials the north star
         requires: count/null-rate, min/max, exact counting-hist
-        quantiles + t-digest, HLL doc_id cardinality, and the drift
+        quantiles, HLL doc_id cardinality, and the drift
         histograms (n_tok 64 bins, per-source token values 256 bins)."""
         t0 = time.perf_counter()
         state: dict[str, Any] = {"rows_total": nrows, "rows_failed": 0}
         if n_tok_np is not None:
             valid = n_tok_np[n_tok_np >= 0]
             ch = CountingHist(1, self.stats_hi).update(valid)
-            td = TDigest().update(valid.astype(np.float64))
             nh = FixedHistogram(1, self.stats_hi + 1, NTOK_BINS).update(valid)
             state["n_tok_hist"] = ch.to_state()
-            state["n_tok_tdigest"] = td.to_state()
             state["n_tok_fixed"] = nh.to_state()
         if ids_hash is None and ID_COL in sub.column_names:
             arr = sub[ID_COL].combine_chunks()

@@ -26,9 +26,11 @@ Scale design (SURVEY.md §7.3):
      id strings of the hits — hash collisions are filtered here, so
      the result is exact, never probabilistic.
 
-Producing violation rows is a final broadcast probe
-(`duplicate_violations`) emitting one row per offending input row with
-its real partition.
+The confirm scan can carry each row's partition along
+(``confirm_duplicates(..., group_col=...)``), so the violation rows, one
+per offending input row with its real partition, come from the same
+scan (`occurrence_violations`). `duplicate_violations` is the
+standalone broadcast probe for a given duplicate table.
 """
 
 from __future__ import annotations
@@ -208,14 +210,24 @@ def candidate_hashes_from_blobs(hash_ds, *, num_buckets: int = 256) -> pa.Table:
     )
 
 
-def confirm_duplicates(keys_ds, cand: pa.Table, id_col: str = "doc_id") -> pa.Table:
+def confirm_duplicates(
+    keys_ds, cand: pa.Table, id_col: str = "doc_id", group_col: str | None = None
+) -> pa.Table:
     """Exact (id_col, dup_count) table for candidate hashes: re-scan the
     id column, keep rows whose hash is a candidate (collisions included),
-    count the actual id strings. Empty candidates -> empty table."""
+    count the actual id strings. Empty candidates -> empty table.
+
+    ``group_col``: a column of ``keys_ds`` (e.g. the partition) whose
+    value for each occurrence of a duplicated id is listed in a third
+    column of that name, sorted, so the same scan also gives the
+    per-row violations (:func:`occurrence_violations`)."""
     import ray
 
+    cols = [id_col] + ([group_col] if group_col else [])
+    schema = pa.schema([(c, pa.string()) for c in cols])
     empty = pa.table(
         {id_col: pa.array([], pa.string()), "dup_count": pa.array([], pa.int64())}
+        | ({group_col: pa.array([], pa.list_(pa.string()))} if group_col else {})
     )
     if cand.num_rows == 0:
         return empty
@@ -227,28 +239,50 @@ def confirm_duplicates(keys_ds, cand: pa.Table, id_col: str = "doc_id") -> pa.Ta
     cand_ref = ray.put(cand["h"].combine_chunks())
 
     def probe(t: pa.Table) -> pa.Table:
+        t = t.select(cols)
+        if t[id_col].null_count:
+            t = t.filter(pc.is_valid(t[id_col]))
         h = _id_hashes(t, id_col)
-        ids = t[id_col].combine_chunks().drop_null()
-        mask = pc.is_in(pa.array(h, pa.int64()), value_set=ray.get(cand_ref))
-        return pa.table({id_col: ids.filter(mask)})
+        return t.filter(pc.is_in(pa.array(h, pa.int64()), value_set=ray.get(cand_ref)))
 
     hits = _collect(
-        keys_ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True),
-        pa.schema([(id_col, pa.string())]),
+        keys_ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True), schema
     )
     if hits.num_rows == 0:
         return empty
-    counts = pc.value_counts(hits[id_col].combine_chunks())
-    vals, cnts = counts.field("values"), counts.field("counts")
-    dup_mask = pc.greater(cnts, 1)
+    if group_col:
+        hits = hits.sort_by([(id_col, "ascending"), (group_col, "ascending")])
+    aggs = [(id_col, "count")] + ([(group_col, "list")] if group_col else [])
+    g = hits.group_by(id_col, use_threads=False).aggregate(aggs)
+    dup = pc.greater(g[f"{id_col}_count"], 1)
     out = pa.table(
         {
-            id_col: vals.filter(dup_mask),
-            "dup_count": pc.cast(cnts.filter(dup_mask), pa.int64()),
+            id_col: g[id_col].filter(dup),
+            "dup_count": pc.cast(g[f"{id_col}_count"].filter(dup), pa.int64()),
+        }
+        | ({group_col: g[f"{group_col}_list"].filter(dup)} if group_col else {})
+    )
+    return out.sort_by([(id_col, "ascending")])
+
+
+def occurrence_violations(dup_table: pa.Table, id_col: str, group_col: str) -> pa.Table:
+    """(rule_id, doc_id, partition, reason) rows, one per occurrence of
+    each duplicated id, from a :func:`confirm_duplicates` table built
+    with ``group_col``."""
+    occ = dup_table[group_col].combine_chunks()
+    at = pc.list_parent_indices(occ)
+    n = len(at)
+    return pa.table(
+        {
+            "rule_id": pa.array(["doc_id_unique"] * n, pa.string()),
+            "doc_id": dup_table[id_col].take(at),
+            "partition": pc.list_flatten(occ),
+            "reason": pa.array(
+                [f"doc_id appears {c} times" for c in dup_table["dup_count"].take(at).to_pylist()],
+                pa.string(),
+            ),
         }
     )
-    order = pc.sort_indices(out, sort_keys=[(id_col, "ascending")])
-    return out.take(order)
 
 
 def duplicate_id_counts(

@@ -79,19 +79,6 @@ def _edge_corpus(d: str) -> dict[str, str]:
     }
 
 
-def _without_tdigest(x):
-    """``n_tok_tdigest`` is the one sketch whose state depends on how rows
-    are cut into batches (a t-digest merge is not exact), so it differs
-    between block layouts already: a 4 MB ``target_max_block_size`` moves
-    the global p95 of the mutation_matrix corpus from 754.42 to 755.48.
-    Every other check, count and sketch is exact and must match."""
-    if isinstance(x, dict):
-        return {k: _without_tdigest(v) for k, v in x.items() if k != "n_tok_tdigest"}
-    if isinstance(x, list):
-        return [_without_tdigest(v) for v in x]
-    return x
-
-
 def test_packed_reads_change_no_result(ray_session, tmp_path, monkeypatch):
     from etl_data_validation_kio_ray.pipelines import validate as V
 
@@ -124,9 +111,9 @@ def test_packed_reads_change_no_result(ray_session, tmp_path, monkeypatch):
     per_file = run("per_file")
 
     (s1, v1, m1), (s2, v2, m2) = packed, per_file
-    assert _without_tdigest(s1) == _without_tdigest(s2)
+    assert s1 == s2
     assert v1.equals(v2)
-    assert _without_tdigest(m1) == _without_tdigest(m2)
+    assert m1 == m2
 
     assert s1["run_verdict"] == "FAIL"
     assert pc.sum(pc.equal(v1["rule_id"], "doc_id_unique")).as_py() == 80
