@@ -55,7 +55,15 @@ _ALLOWED_SQL = ", ".join(f"'{s}'" for s in ALLOWED_SOURCES)
 
 
 def _cache_dir(sf_dir: str) -> str:
-    h = hashlib.md5(sf_dir.encode()).hexdigest()[:10]
+    """Cache key = the directory path plus each input file's name, size
+    and mtime, so a directory rewritten at the same path (a recycled
+    temp dir) never serves another input's tokens or validation run."""
+    key = [sf_dir]
+    with os.scandir(sf_dir) as it:
+        for e in sorted(it, key=lambda e: e.name):
+            st = e.stat()
+            key.append(f"{e.name}:{st.st_size}:{st.st_mtime_ns}")
+    h = hashlib.md5("\n".join(key).encode()).hexdigest()[:10]
     return os.path.join(CACHE_ROOT, f"run_{h}")
 
 

@@ -105,6 +105,20 @@ def _compare(qname: str, sf_dir: str) -> None:
     assert not problems, problems
 
 
+def test_cache_dir_tracks_rewritten_inputs(tmp_path):
+    """A directory reused at the same path (pytest numbers its temp dirs
+    afresh once the old ones are gone) must not hit the cache of the
+    input it held before."""
+    import __ray_entry__ as m
+
+    sf = str(tmp_path)
+    _write(sf, "documents", _documents_table([("a bb", "s1")]))
+    first = m._cache_dir(sf)
+    assert m._cache_dir(sf) == first
+    _write(sf, "documents", _documents_table([("a bb ccc", "s2")] * 3))
+    assert m._cache_dir(sf) != first
+
+
 _fuzz = settings(
     max_examples=5,
     deadline=None,
