@@ -564,10 +564,14 @@ class ValidationPipeline:
                 if not shared:
                     mapped.write_parquet(os.path.join(dirs[0], f"g{g}"), partition_cols=["kind"])
                     continue
-                # the shared execution's output stays in the first job's
-                # raw/_shared/; each job's shard gets a copy of its rows
-                first = claimed[0]
-                staging = os.path.join(first[0].out_dir, "raw", "_shared", f"{first[2]}-g{g}")
+                # the shared execution writes to the first job's
+                # raw/_shared/, named by the shard's first partition so
+                # that a rerun overwrites it; each job's shard gets a
+                # copy of its rows. The staging output is left in place:
+                # perfbench/spans.py counts the engine's output rows
+                # from each shard write's directory after the pass.
+                job0, shard0 = claimed[0][:2]
+                staging = os.path.join(job0.out_dir, "raw", "_shared", f"shard-{shard0[0]}-g{g}")
                 if os.path.isdir(staging):
                     shutil.rmtree(staging)
                 mapped.write_parquet(staging, partition_cols=["kind"])

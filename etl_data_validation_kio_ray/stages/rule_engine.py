@@ -51,6 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core.specs import RuleSpec
+from ..functions.grouping import run_starts
 from ..sketches import CountingHist, FixedHistogram, HyperLogLog
 from ..sketches.hll import hash64
 
@@ -117,10 +118,10 @@ def _file_runs(paths) -> list[tuple[str, int, int]]:
         paths.combine_chunks() if isinstance(paths, pa.ChunkedArray) else paths
     )
     idx = enc.indices.to_numpy(zero_copy_only=False)
-    cuts = (np.flatnonzero(np.diff(idx)) + 1).tolist()
-    starts, stops = [0, *cuts], [*cuts, len(idx)]
+    starts = run_starts(idx).tolist()
     return [
-        (enc.dictionary[int(idx[a])].as_py(), a, b) for a, b in zip(starts, stops) if b > a
+        (enc.dictionary[int(idx[a])].as_py(), a, b)
+        for a, b in zip(starts, [*starts[1:], len(idx)])
     ]
 
 

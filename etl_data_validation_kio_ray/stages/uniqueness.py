@@ -29,8 +29,7 @@ Scale design (SURVEY.md §7.3):
 The confirm scan can carry each row's partition along
 (``confirm_duplicates(..., group_col=...)``), so the violation rows, one
 per offending input row with its real partition, come from the same
-scan (`occurrence_violations`). `duplicate_violations` is the
-standalone broadcast probe for a given duplicate table.
+scan (`occurrence_violations`).
 """
 
 from __future__ import annotations
@@ -312,53 +311,3 @@ def duplicate_id_counts(
         num_buckets=num_buckets,
     )
     return confirm_duplicates(keys_ds, cand, id_col)
-
-
-def duplicate_violations(
-    keys_ds,
-    dup_table: pa.Table,
-    id_col: str = "doc_id",
-    partition_col: str | None = "partition",
-):
-    """Emit (rule_id, doc_id, partition, reason) for every row whose id
-    is duplicated. ``dup_table`` is broadcast (ray.put) once and probed
-    per batch with a vectorized semi-join."""
-    import ray
-
-    dup_ref = ray.put(dup_table)
-
-    def probe(batch: pa.Table) -> pa.Table:
-        dup = ray.get(dup_ref)
-        ids = batch[id_col].combine_chunks()
-        mask = pc.is_in(ids, value_set=dup[id_col])
-        hit = batch.filter(mask)
-        n = hit.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "rule_id": pa.array([], pa.string()),
-                    "doc_id": pa.array([], pa.string()),
-                    "partition": pa.array([], pa.string()),
-                    "reason": pa.array([], pa.string()),
-                }
-            )
-        # map each hit id -> its dup_count for the reason string
-        idx = pc.index_in(hit[id_col].combine_chunks(), value_set=dup[id_col])
-        cnt = dup["dup_count"].take(idx).to_pylist()
-        parts = (
-            hit[partition_col].to_pylist()
-            if partition_col and partition_col in hit.column_names
-            else ["all"] * n
-        )
-        return pa.table(
-            {
-                "rule_id": pa.array(["doc_id_unique"] * n, pa.string()),
-                "doc_id": hit[id_col],
-                "partition": pa.array(parts, pa.string()),
-                "reason": pa.array(
-                    [f"doc_id appears {int(c)} times" for c in cnt], pa.string()
-                ),
-            }
-        )
-
-    return keys_ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)

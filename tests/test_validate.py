@@ -1057,3 +1057,10 @@ def test_narrow_pass_failure_fails_every_job(ray_session, tmp_path, monkeypatch)
     shared = [_run_outputs(out, pipe.run(d, out, reuse_from=[src])) for d, out in jobs]
     for got, want in zip(shared, _alone(tmp_path, jobs, src)):
         _assert_same(got, want)
+    # a rerun whose shards take new (-rN) names overwrites the staging
+    # output instead of adding to it
+    staging = os.path.join(jobs[0][1], "raw", "_shared")
+    before = sorted(os.listdir(staging))
+    pipe.narrow_pass(jobs, resume=False, reuse_from=[src])
+    assert any(n.endswith("-r1") for n in os.listdir(os.path.join(jobs[0][1], "raw")))
+    assert sorted(os.listdir(staging)) == before
