@@ -5,7 +5,7 @@ from .hashing import (
     simhash64,
     stable_hash64,
 )
-from .text import text_features, lang_id_batch, tokenize_ws, FINGERPRINT_SQL
+from .text import text_features, lang_id_batch, FINGERPRINT_SQL
 
 __all__ = [
     "stable_hash64",
@@ -14,6 +14,5 @@ __all__ = [
     "simhash64",
     "text_features",
     "lang_id_batch",
-    "tokenize_ws",
     "FINGERPRINT_SQL",
 ]

@@ -44,13 +44,6 @@ def _flat_words(text: pa.Array):
     return words, flat, offsets
 
 
-def tokenize_ws(text: pa.Array) -> pa.ListArray:
-    """Whitespace tokenization (list<string>)."""
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
-    return pc.split_pattern(text, " ")
-
-
 def text_features(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Append quality-scoring columns: n_chars, n_words, mean_word_len,
     stopword_ratio (en), punct_ratio, digit_ratio, token_count_bpe."""

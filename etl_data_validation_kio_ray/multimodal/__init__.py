@@ -1,3 +1,3 @@
-from .decode import ImageFeatureStage, AudioFeatureStage, multimodal_schema
+from .decode import ImageFeatureStage, multimodal_schema
 
-__all__ = ["ImageFeatureStage", "AudioFeatureStage", "multimodal_schema"]
+__all__ = ["ImageFeatureStage", "multimodal_schema"]

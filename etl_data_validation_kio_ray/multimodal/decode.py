@@ -5,8 +5,8 @@ per worker by core/resources.CachedEngineFn).
 The Ray-side plumbing is REAL and tested: schema, small batches (large
 binary rows need small batches so a batch fits the worker heap —
 ray_guide "Memory-aware"), deterministic output layout.
-The actual codec is STUBBED: the image/audio libraries are not in this
-container, so when PIL / soundfile are unavailable each stage derives a
+The actual codec is STUBBED: the image library is not in this
+container, so when PIL is unavailable the image stage derives a
 deterministic fake feature vector from the payload bytes (clearly
 marked). Swap ``_decode_real`` in when the codec libs exist.
 """
@@ -87,32 +87,6 @@ class ImageFeatureStage:
             "decoder",
             pa.array(["pil" if self._pil else "stub"] * len(payloads), pa.string()),
         )
-
-
-class AudioFeatureStage:
-    """Frame-sample + feature-extract for audio payloads; real path
-    requires soundfile, else the deterministic fake."""
-
-    def __init__(self, *, feature_dim: int = FEATURE_DIM, frame_stride: int = 1024):
-        self.feature_dim = feature_dim
-        self.frame_stride = frame_stride
-        try:
-            import soundfile  # noqa: F401
-
-            self._sf = True
-        except ImportError:
-            self._sf = False
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        if self._sf:
-            raise NotImplementedError(
-                "real audio decode path not exercised in this container"
-            )
-        feats = _fake_features(payloads, self.feature_dim)
-        return batch.append_column(
-            "features", pa.array(list(feats))
-        ).append_column("decoder", pa.array(["stub"] * len(payloads), pa.string()))
 
 
 class VideoFrameSampleStage:

@@ -80,28 +80,6 @@ def _distinct_counts_all(
     return counts
 
 
-def _distinct_count(ds, col: str, *, num_buckets: int = 32) -> int:
-    def partial(t: pa.Table) -> pa.Table:
-        v = t[col]
-        if isinstance(v, pa.ChunkedArray):
-            v = v.combine_chunks()
-        u = pc.unique(v.drop_null())
-        return tag_bucket(pa.table({col: u}), col, num_buckets)
-
-    def reduce_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"])
-        n = len(pc.unique(t[col]))
-        return pa.table({"n": pa.array([n], pa.int64())})
-
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return int(out["n"].sum()) if len(out) else 0
-
-
 def profile_table(
     ds,
     *,

@@ -20,14 +20,16 @@ suite runner /root/reference/src/app2/validators/runner.py:109-228):
                           # a read spanning several jobs writes to the first
                           # job's raw/_shared/ with each row's file, and each
                           # job's shard gets its own files' rows
-    -> per-partition manifests with the narrow checks
+    -> per-partition manifests: lineage only (status, shard, content key)
   run(): narrow_pass([its one job]), then the run-scope checks
     kind=hash blobs -> id hashes seen twice     # the wide rule: a driver
                                                 # sort below DRIVER_UNIQUE_MAX_BYTES,
                                                 # else the bucketed blob exchange
       -> read_parquet(columns=[doc_id, partition]) one exact confirm scan of
          the candidates: the counts and the violation rows
-    merge partials -> verdicts / metrics / drift -> manifests + summary
+    merge partials -> every check, built once: narrow + run-scope
+      -> metrics / drift -> summary.json (its ``checks`` list is the
+         run's one check table; the manifests are not written again)
 
 Every reader of the raw/ outputs goes through ``_owned_outputs``: a
 partition's rows count only from the shard its SUCCESS manifest names
@@ -42,9 +44,11 @@ Resume: input is one Parquet file per partition; partitions whose
 manifest is already SUCCESS are pruned from the read (the file is never
 opened again) — the file-level analog of the reference's
 ``only_unprocessed`` discovery filter (discovery.py:203-223). So a run()
-over a run dir that a shared narrow_pass filled does only the run-scope
-checks. Work is chunked into shards of ``shard_size`` partitions, each
-committed atomically, bounding recomputation after a crash.
+over a run dir that a shared narrow_pass filled reads no input file
+again: it builds the checks from the committed partial states and adds
+the run-scope ones. Work is chunked into shards of ``shard_size``
+partitions, each committed atomically, bounding recomputation after a
+crash.
 """
 
 from __future__ import annotations
@@ -453,8 +457,9 @@ class ValidationPipeline:
         """Validate the narrow rules of the pending partitions of several
         runs, each job an ``(input_path, out_dir)``, and commit their
         manifests; ``run`` over such a run dir (``resume=True``) finds
-        them SUCCESS and adds only the run-scope checks. ``resume`` and
-        ``reuse_from`` are ``run``'s, for every job.
+        them SUCCESS, builds the checks from their partial states and
+        adds the run-scope ones. ``resume`` and ``reuse_from`` are
+        ``run``'s, for every job.
 
         Shard ``k`` of every job is validated in one read -> engine ->
         write execution per footer schema group. A read that spans
@@ -508,15 +513,13 @@ class ValidationPipeline:
                 job.out_dir, f"reused-{reuse_from.index(src)}-{src_shard}", job.owners
             )
             _link_outputs(os.path.join(src, "raw", src_shard), shard_dir)
-            merged = job.shard_stats[shard_name] = _read_partials(
-                _kind_files(shard_dir, "partial")
+            job.shard_stats[shard_name] = _read_partials(_kind_files(shard_dir, "partial"))
+            job.state.finish_many(
+                [
+                    (p, {"shard": shard_name, "key": job.content_keys[p], "reused_from": src})
+                    for p in parts
+                ]
             )
-            items = []
-            for p in parts:
-                checks = self._narrow_checks(p, merged.get(p, {}), input_file=job.files[p])
-                fields = {"shard": shard_name, "key": job.content_keys[p], "reused_from": src}
-                items.append((p, {**_manifest(checks), **fields}))
-            job.state.finish_many(items)
             job.owners.update((p, shard_name) for p in parts)
 
     def _validate_round(self, shards: list[tuple[NarrowJob, list[str]]], allowed_ref) -> None:
@@ -590,24 +593,26 @@ class ValidationPipeline:
     def _commit_shard(
         self, job: NarrowJob, shard: list[str], shard_name: str, shard_dir: str
     ) -> None:
-        """Per-partition manifests of a validated shard, with the narrow
-        checks (``run`` appends the run-scope ones). A partition whose
-        input file is unreadable keeps its checks in ``job.unreadable``
-        and its manifest is marked FAILED — not SUCCESS — so a resumed
-        run after the file is repaired validates it again."""
+        """Commit a validated shard: each partition's manifest names the
+        shard and the content key, and holds no checks (``run`` builds
+        them all once). A partition with no output whose input file is
+        unreadable keeps its checks in ``job.unreadable`` and its
+        manifest is marked FAILED — not SUCCESS — so a resumed run after
+        the file is repaired validates it again."""
         merged = job.shard_stats[shard_name] = _read_partials(_kind_files(shard_dir, "partial"))
-        items = []
+        done = []
         for p in shard:
-            checks = self._narrow_checks(p, merged.get(p, {}), input_file=job.files[p])
-            if any((c.metrics or {}).get("unreadable_input") for c in checks):
-                job.state.fail(p, f"unreadable input file: {job.files[p]}")
-                job.unreadable[p] = checks
-                continue
-            items.append(
-                (p, {**_manifest(checks), "shard": shard_name, "key": job.content_keys.get(p)})
-            )
-        job.state.finish_many(items)
-        job.owners.update((p, shard_name) for p, _ in items)
+            if not merged.get(p):
+                checks = self._missing_state_checks(p, job.files[p])
+                if any((c.metrics or {}).get("unreadable_input") for c in checks):
+                    job.state.fail(p, f"unreadable input file: {job.files[p]}")
+                    job.unreadable[p] = checks
+                    continue
+            done.append(p)
+        job.state.finish_many(
+            [(p, {"shard": shard_name, "key": job.content_keys.get(p)}) for p in done]
+        )
+        job.owners.update((p, shard_name) for p in done)
 
     # ------------------------------------------------------------ run
 
@@ -754,12 +759,12 @@ class ValidationPipeline:
         phases["drift"] = round(time.time() - t_phase, 3)
         t_phase = time.time()
 
-        # ---- verdicts per partition: the narrow checks plus the two
-        # run-scope ones, in rule order
+        # ---- every check of the run, built once per partition: the
+        # narrow checks plus the two run-scope ones, in rule order;
+        # summary.json is the only place they are written
         rule_order = {rule_id: i for i, rule_id in enumerate(self.rules)}
         verdicts: list[CheckResult] = []
         metrics: dict[str, Any] = {"partitions": {}}
-        finish_items: list[tuple[str, dict]] = []
         for part in processed:
             rules_states = shard_stats[part]
             stats_rows = rules_states.get("column_stats", {}).get("rows_total", 0)
@@ -784,13 +789,11 @@ class ValidationPipeline:
                     )
                 )
             checks.sort(key=lambda c: rule_order.get(c.rule_id, -1))
-            finish_items.append((part, _manifest(checks)))
             verdicts.extend(checks)
             if stats_check is not None:
                 metrics["partitions"][part] = stats_check.metrics
             elif "column_stats" in rules_states:
                 metrics["partitions"][part] = _stats_metrics(rules_states["column_stats"])
-        state.finish_many(finish_items)
         if global_stats:
             metrics["global"] = _stats_metrics(global_stats)
 
@@ -1016,15 +1019,6 @@ def _owned_outputs(
 
 def _owned_rows(t: pa.Table, owned: list[str]) -> pa.Table:
     return t.filter(pc.is_in(t["partition"], value_set=pa.array(owned, pa.string())))
-
-
-def _manifest(checks: list[CheckResult]) -> dict:
-    """RunState.finish fields of one partition from its checks."""
-    return dict(
-        verdict=partition_verdict(checks),
-        rows_total=max((c.rows_total for c in checks), default=0),
-        checks=[c.to_dict() for c in checks],
-    )
 
 
 # below this, the candidate scan runs on the DRIVER (one exact

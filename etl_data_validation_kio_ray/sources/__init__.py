@@ -1,9 +1,8 @@
-from .synth import generate_token_table, write_allowed_sources
+from .synth import generate_token_table
 from .tokenize import tokenize_documents, TOKENIZE_SQL, VOCAB_SIZE
 
 __all__ = [
     "generate_token_table",
-    "write_allowed_sources",
     "tokenize_documents",
     "TOKENIZE_SQL",
     "VOCAB_SIZE",

@@ -126,20 +126,3 @@ def generate_token_table(
     with ProcessPoolExecutor(max_workers=max_workers) as ex:
         list(ex.map(_write_partition, args, chunksize=4))
     return out_dir
-
-
-def write_allowed_sources(path: str, *, include_forums: bool = False) -> str:
-    """The small referential dimension (FIXTURES.md F2): ``forums`` is
-    deliberately absent so baseline data contains known violations —
-    mirrors the FK anti-join dims of
-    /root/reference/sql/initdb/dds_tables.sql:9-70."""
-    allowed = ["web", "books", "code", "wiki"] + (["forums"] if include_forums else [])
-    table = pa.table(
-        {
-            "source": pa.array(allowed, pa.string()),
-            "license_ok": pa.array([True] * len(allowed)),
-        }
-    )
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    pq.write_table(table, path)
-    return path

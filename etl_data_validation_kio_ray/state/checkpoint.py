@@ -7,9 +7,13 @@ Replaces the reference's ``tech`` tables with a manifest directory:
   sql/initdb/tech_tables.sql:24-41)
 - ``only_unprocessed`` resume filter
   (/root/reference/src/app2/etl_validation/discovery.py:203-223)
-- per-check metrics rows (tech.validation_check_result,
-  sql/initdb/tech_tables.sql:65-81) — stored in each manifest's
-  ``checks`` list.
+
+A manifest holds lineage only: status, attempts, timestamps, error, the
+owning raw shard, the content key and ``reused_from`` — how the
+partition's outputs were made, not what they say. The per-check rows
+(tech.validation_check_result, sql/initdb/tech_tables.sql:65-81) are
+built once per run and written once, as the ``checks`` list of the run's
+``summary.json`` (state/report.py reads them from there).
 
 The reference claims batches with ``FOR UPDATE SKIP LOCKED``
 (db/batch.py:45-78); with files the equivalent is atomic
@@ -23,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 NEW, PROCESSING, SUCCESS, FAILED = "NEW", "PROCESSING", "SUCCESS", "FAILED"
@@ -89,9 +93,6 @@ class PartitionManifest:
     attempts: int = 0
     started_at: float | None = None
     finished_at: float | None = None
-    rows_total: int = 0
-    verdict: str | None = None  # PASS / WARN / FAIL
-    checks: list[dict[str, Any]] = field(default_factory=list)
     error: str | None = None
     # name of the raw shard directory holding this partition's outputs;
     # readers keep only rows from the OWNING shard, so stale outputs of
@@ -131,8 +132,7 @@ class RunState:
         path = self._path(partition)
         if not os.path.exists(path):
             return PartitionManifest(partition=partition)
-        with open(path) as f:
-            return PartitionManifest(**json.load(f))
+        return _read_manifest(path)
 
     def save(self, m: PartitionManifest) -> None:
         path = self._path(m.partition)
@@ -156,33 +156,24 @@ class RunState:
         self,
         partition: str,
         *,
-        verdict: str,
-        rows_total: int,
-        checks: list[dict[str, Any]],
-        shard: str | None = None,
+        shard: str,
         key: str | None = None,
         reused_from: str | None = None,
     ) -> PartitionManifest:
-        """Mark ``partition`` SUCCESS. ``shard``, ``key`` and
-        ``reused_from`` are kept from an earlier finish when not given."""
+        """Mark ``partition`` SUCCESS, its outputs in raw shard ``shard``.
+        The manifest records exactly the ``key`` and ``reused_from`` it is
+        given: a run that keys nothing leaves no key from an earlier run."""
         m = self.load(partition)
         m.status = SUCCESS
         m.finished_at = time.time()
-        m.verdict = verdict
-        m.rows_total = rows_total
-        m.checks = checks
-        for name, value in (("shard", shard), ("key", key), ("reused_from", reused_from)):
-            if value is not None:
-                setattr(m, name, value)
+        m.shard, m.key, m.reused_from = shard, key, reused_from
         self.save(m)
         self.audit.append(
             "finish",
             partition=partition,
-            verdict=verdict,
-            rows_total=rows_total,
             attempts=m.attempts,
-            shard=m.shard,
-            reused_from=m.reused_from,
+            shard=shard,
+            reused_from=reused_from,
         )
         return m
 
@@ -223,20 +214,21 @@ class RunState:
     def completed(self) -> set[str]:
         """Partitions already SUCCESS — the resume skip-set
         (analog of discovery.py:203-223 only_unprocessed)."""
-        done = set()
-        for name in os.listdir(self.manifest_dir):
-            if not name.endswith(".json"):
-                continue
-            with open(os.path.join(self.manifest_dir, name)) as f:
-                m = json.load(f)
-            if m.get("status") == SUCCESS:
-                done.add(m["partition"])
-        return done
+        return {m.partition for m in self.all_manifests() if m.status == SUCCESS}
 
     def all_manifests(self) -> list[PartitionManifest]:
-        out = []
-        for name in sorted(os.listdir(self.manifest_dir)):
-            if name.endswith(".json"):
-                with open(os.path.join(self.manifest_dir, name)) as f:
-                    out.append(PartitionManifest(**json.load(f)))
-        return out
+        return [
+            _read_manifest(os.path.join(self.manifest_dir, name))
+            for name in sorted(os.listdir(self.manifest_dir))
+            if name.endswith(".json")
+        ]
+
+
+def _read_manifest(path: str) -> PartitionManifest:
+    """The manifest in ``path``, keeping only PartitionManifest's fields:
+    manifests of older runs also carried ``verdict``, ``rows_total`` and
+    ``checks``."""
+    with open(path) as f:
+        d = json.load(f)
+    names = {f.name for f in fields(PartitionManifest)}
+    return PartitionManifest(**{k: v for k, v in d.items() if k in names})

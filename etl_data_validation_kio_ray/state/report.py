@@ -4,12 +4,19 @@ Mirrors the reference's exported artifacts:
 - summary CSV aggregating ``tech.validation_run``
   (/root/reference/scripts/run_manual_experiments.py:353-415, sample
   /root/reference/output/validation_summary_20260213_093525.csv) —
-  here one row per (run, rule_group) from the per-partition manifests;
+  here one row per (run, rule_group) from the run's checks;
 - plain-text run log export
   (/root/reference/scripts/run_manual_experiments.py:457-536) — here a
   readable report of partition verdicts, failed checks, and metrics.
 
-Both read ONLY the tiny manifest/summary artifacts — never the data.
+The checks come from ``summary.json``, the one place a run writes them
+(its ``checks`` list, the tech.validation_check_result analog); a
+partition's verdict and row count are derived from its checks there.
+Status, attempts and error come from the manifests (state/checkpoint.py),
+which hold lineage only. Every reader opens the run with
+``RunState(read_only=True)``, so a dir that holds no run is refused.
+
+All read ONLY the tiny manifest/summary artifacts — never the data.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import os
 from collections import defaultdict
 from typing import Any
 
+from ..core.verdicts import CheckResult, partition_verdict
 from .checkpoint import RunState
 
 
@@ -30,10 +38,27 @@ def _load_summary(run_dir: str) -> dict[str, Any]:
         return json.load(f)
 
 
+def _checks_by_partition(summary: dict[str, Any]) -> dict[str, list[dict[str, Any]]]:
+    """The run's checks (``summary.json``), grouped by partition."""
+    out: dict[str, list[dict[str, Any]]] = defaultdict(list)
+    for c in summary.get("checks") or []:
+        out[c["partition"]].append(c)
+    return out
+
+
+def _verdict_and_rows(checks: list[dict[str, Any]]) -> tuple[str | None, int]:
+    """A partition's verdict and row count from its checks (None and 0
+    for a partition without checks)."""
+    if not checks:
+        return None, 0
+    verdict = partition_verdict([CheckResult(**c) for c in checks])
+    return verdict, max(int(c.get("rows_total", 0)) for c in checks)
+
+
 def summary_rows(run_dir: str) -> list[dict[str, Any]]:
     """One row per (run, rule_group): checks, failures, rows_failed —
     the shape of the reference's validation_summary CSV."""
-    state = RunState(run_dir, read_only=True)
+    RunState(run_dir, read_only=True)  # refuses a dir that holds no run
     agg: dict[tuple, dict[str, Any]] = defaultdict(
         lambda: {
             "checks_total": 0,
@@ -46,15 +71,14 @@ def summary_rows(run_dir: str) -> list[dict[str, Any]]:
     from ..core.specs import default_rules
 
     groups = {r.rule_id: r.rule_group for r in default_rules().values()}
-    for m in state.all_manifests():
-        for c in m.checks:
-            group = groups.get(c.get("rule_id"), c.get("rule_id"))
-            slot = agg[(group,)]
-            slot["checks_total"] += 1
-            slot["checks_failed"] += 1 if c.get("status") == "FAIL" else 0
-            slot["rows_failed"] += int(c.get("rows_failed", 0))
-            slot["rows_total"] = max(slot["rows_total"], int(c.get("rows_total", 0)))
-            slot["duration_ms"] += float(c.get("duration_ms") or 0.0)
+    for c in _load_summary(run_dir).get("checks") or []:
+        group = groups.get(c.get("rule_id"), c.get("rule_id"))
+        slot = agg[(group,)]
+        slot["checks_total"] += 1
+        slot["checks_failed"] += 1 if c.get("status") == "FAIL" else 0
+        slot["rows_failed"] += int(c.get("rows_failed", 0))
+        slot["rows_total"] = max(slot["rows_total"], int(c.get("rows_total", 0)))
+        slot["duration_ms"] += float(c.get("duration_ms") or 0.0)
     rows = []
     for (group,), slot in sorted(agg.items()):
         slot["duration_ms"] = round(slot["duration_ms"], 3)
@@ -90,6 +114,7 @@ def run_report(run_dir: str) -> str:
     """Human-readable run report (the DB-log export analog)."""
     state = RunState(run_dir, read_only=True)
     summary = _load_summary(run_dir)
+    by_part = _checks_by_partition(summary)
     lines = [
         f"validation run: {run_dir}",
         f"run verdict: {summary.get('run_verdict', '?')}",
@@ -98,11 +123,13 @@ def run_report(run_dir: str) -> str:
         "partitions:",
     ]
     for m in state.all_manifests():
+        checks = by_part.get(m.partition, [])
+        verdict, rows = _verdict_and_rows(checks)
         lines.append(
-            f"  {m.partition}: {m.status} verdict={m.verdict} "
-            f"rows={m.rows_total} attempts={m.attempts}"
+            f"  {m.partition}: {m.status} verdict={verdict} "
+            f"rows={rows} attempts={m.attempts}"
         )
-        for c in m.checks:
+        for c in checks:
             if c.get("status") != "PASS":
                 lines.append(
                     f"    {c.get('rule_id')}: {c.get('status')} "
@@ -164,6 +191,7 @@ def write_html_report(run_dir: str, out_path: str | None = None) -> str:
         else RunState(run_dir, read_only=True).all_manifests()
     )
     summary = _load_summary(run_dir)
+    by_part = _checks_by_partition(summary)
     verdict = summary.get("run_verdict", "?")
     color = {"PASS": "#1a7f37", "WARN": "#b58105", "FAIL": "#cf222e"}.get(
         verdict, "#57606a"
@@ -184,17 +212,19 @@ def write_html_report(run_dir: str, out_path: str | None = None) -> str:
         "<th>rows</th><th>failing checks</th></tr>",
     ]
     for m in manifests:
+        checks = by_part.get(m.partition, [])
+        p_verdict, rows = _verdict_and_rows(checks)
         fails = "; ".join(
             f"{c.get('rule_id')} ({c.get('status')}, rows_failed={c.get('rows_failed')})"
-            for c in m.checks
+            for c in checks
             if c.get("status") != "PASS"
         )
         if m.error:
             fails = (fails + "; " if fails else "") + f"error: {m.error}"
-        cls = {"FAIL": "fail", "WARN": "warn"}.get(m.verdict or "", "pass")
+        cls = {"FAIL": "fail", "WARN": "warn"}.get(p_verdict or "", "pass")
         parts.append(
             f"<tr><td>{_esc(m.partition)}</td><td>{_esc(m.status)}</td>"
-            f"<td class='{cls}'>{_esc(m.verdict)}</td><td>{_esc(m.rows_total)}</td>"
+            f"<td class='{cls}'>{_esc(p_verdict)}</td><td>{_esc(rows)}</td>"
             f"<td>{_esc(fails) or '—'}</td></tr>"
         )
     parts.append("</table>")
@@ -206,10 +236,10 @@ def write_html_report(run_dir: str, out_path: str | None = None) -> str:
             parts.append(f"<tr><td>{_esc(k)}</td><td><code>{_esc(v)}</code></td></tr>")
         parts.append("</table>")
 
-    # drift scores live on the drift_ks_psi checks inside manifests
+    # drift scores live on the run's drift_ks_psi checks
     drift_rows = []
     for m in manifests:
-        for c in m.checks:
+        for c in by_part.get(m.partition, []):
             met = c.get("metrics") or {}
             if c.get("rule_id") == "drift_ks_psi" and "ks_n_tok" in met:
                 drift_rows.append(

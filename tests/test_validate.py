@@ -653,6 +653,103 @@ def test_readers_refuse_a_missing_run(tmp_path):
     assert os.listdir(missing) == []
 
 
+def test_manifests_are_written_once_per_commit(ray_session, tiny_table, tmp_path, monkeypatch):
+    """A fresh run writes each partition's manifest twice, at claim and
+    at commit, and none after its narrow pass: the checks are written
+    once, in summary.json."""
+    from etl_data_validation_kio_ray.state.checkpoint import RunState
+
+    saves = []
+    save = RunState.save
+
+    def counted(self, m):
+        saves.append((m.partition, m.status))
+        save(self, m)
+
+    monkeypatch.setattr(RunState, "save", counted)
+    pipe = ValidationPipeline(allowed_sources=ALLOWED, shard_size=2)
+    narrow_pass = pipe.narrow_pass
+    after_pass = []
+
+    def recorded(*args, **kwargs):
+        jobs = narrow_pass(*args, **kwargs)
+        after_pass.append(len(saves))
+        return jobs
+
+    monkeypatch.setattr(pipe, "narrow_pass", recorded)
+    res = pipe.run(tiny_table, str(tmp_path / "run"))
+    assert len(saves) == 8
+    assert after_pass == [8]
+    assert sorted(saves) == sorted(
+        (p, status) for p in res.partitions for status in ("PROCESSING", "SUCCESS")
+    )
+
+
+def test_manifests_of_older_runs_still_resume(ray_session, tiny_table, tmp_path):
+    """Manifests of older runs also carried ``verdict``, ``rows_total``
+    and ``checks``. A run over them resumes, and the reports read them."""
+    import json
+
+    from etl_data_validation_kio_ray.state.checkpoint import RunState
+    from etl_data_validation_kio_ray.state.report import (
+        run_report,
+        summary_rows,
+        write_html_report,
+    )
+
+    out = str(tmp_path / "run")
+    pipe = ValidationPipeline(allowed_sources=ALLOWED, shard_size=2)
+    first = _run_outputs(out, pipe.run(tiny_table, out))
+
+    def reports():
+        with open(write_html_report(out)) as f:
+            html = f.read()
+        return (
+            summary_rows(out),
+            run_report(out).split("partitions:")[1].split("audit trail")[0],
+            html.split("<h2>partitions</h2>")[1],
+        )
+
+    before = reports()
+    with open(os.path.join(out, "summary.json")) as f:
+        checks = json.load(f)["checks"]
+    for name in os.listdir(os.path.join(out, "_manifests")):
+        path = os.path.join(out, "_manifests", name)
+        with open(path) as f:
+            m = json.load(f)
+        own = [c for c in checks if c["partition"] == m["partition"]]
+        m.update(verdict="PASS", rows_total=250, checks=own)
+        with open(path, "w") as f:
+            json.dump(m, f)
+    assert reports() == before
+    assert RunState(out, read_only=True).completed() == set(first[0]["partitions"])
+    _assert_same(_run_outputs(out, pipe.run(tiny_table, out, resume=True)), first)
+    assert [e["event"] for e in RunState(out).audit.events()].count("claim") == 4
+
+
+def test_reports_count_an_unreadable_partition(ray_session, tmp_path):
+    """The reports take the run's checks from summary.json, so the
+    schema_types FAIL of an unreadable input file counts there, as it
+    does in ``RunResult.verdicts``, although its manifest is FAILED."""
+    from etl_data_validation_kio_ray.state.report import run_report, summary_rows
+
+    from .test_read_sizing import _edge_corpus
+
+    corpus = str(tmp_path / "in")
+    _edge_corpus(corpus)
+    out = str(tmp_path / "out")
+    res = ValidationPipeline(allowed_sources=ALLOWED).run(corpus, out)
+    schema_fails = [
+        c.partition for c in res.verdicts if c.rule_id == "schema_types" and c.status == "FAIL"
+    ]
+    assert sorted(schema_fails) == ["part-0005", "part-0007", "part-0008"]
+    (schema,) = [r for r in summary_rows(out) if r["rule_group"] == "schema"]
+    assert (schema["checks_failed"], schema["rows_failed"]) == (3, 40 + 50 + 1)
+    report = run_report(out)
+    assert "part-0008: FAILED verdict=FAIL rows=0 attempts=1" in report
+    assert "unreadable input file" in report
+
+
 def test_file_without_partition_column_counts_in_run_scope_checks(ray_session, tmp_path):
     """A file that lost its ``partition`` column is validated as its own
     partition (the file stem): a copy of another partition's rows must
@@ -885,6 +982,34 @@ def test_reuse_run_resumes_and_outlives_its_source(ray_session, tmp_path):
     from etl_data_validation_kio_ray.pipelines.validate import load_violations
 
     pd.testing.assert_frame_equal(load_violations(out).to_pandas(), first[1])
+
+
+def test_keyless_rerun_leaves_no_stale_key(ray_session, tmp_path):
+    """A run that keys nothing records no content key, also over a run
+    dir whose manifests an earlier run keyed: its changed input must not
+    be reused under the old file's key."""
+    import shutil
+
+    from etl_data_validation_kio_ray.sources.mutations import mutate_table
+    from etl_data_validation_kio_ray.state.checkpoint import RunState
+
+    clean = generate_token_table(str(tmp_path / "clean"), partitions=3)
+    x = str(tmp_path / "x")
+    shutil.copytree(clean, x)
+    pipe = lambda: ValidationPipeline(allowed_sources=ALLOWED)  # noqa: E731
+    d = str(tmp_path / "d")
+    pipe().run(x, d, reuse_from=[])
+    mutate_table(clean, x, "out_of_range")  # rewrites x/part-0000
+    pipe().run(x, d, resume=False)
+
+    fresh = str(tmp_path / "fresh")
+    e = str(tmp_path / "e")
+    want = _run_outputs(fresh, pipe().run(clean, fresh))
+    got = _run_outputs(e, pipe().run(clean, e, reuse_from=[d]))
+    assert len(got[1]) == len(want[1])
+    _assert_same(got, want)
+    assert [m.key for m in RunState(d).all_manifests()] == [None] * 3
+    assert _reused(e) == {}
 
 
 # ---------------------------------------------------------------- shared narrow pass

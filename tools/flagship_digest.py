@@ -6,6 +6,7 @@ Usage: python tools/flagship_digest.py CHECKOUT WORK_DIR > out.json
 Runs the ``bulk`` and ``mutation_matrix`` workloads of ``perfbench/`` (seed 1)
 once each with the code of CHECKOUT, on a 1-CPU Ray session, and prints one
 JSON object: every run's ``summary.json`` (checks without ``duration_ms``),
+its ``state/report.summary_rows`` (without ``duration_ms`` and ``run_dir``),
 a digest of its ``load_violations`` rows, the ``bulk`` drift scores and the
 experiment's fired rules and detections. Two checkouts agree when their
 outputs are byte-identical.
@@ -29,6 +30,7 @@ def main(checkout: str, work: str) -> None:
     from ray.data import DataContext
 
     from etl_data_validation_kio_ray.pipelines.validate import load_violations
+    from etl_data_validation_kio_ray.state.report import summary_rows
     from workloads import WORKLOADS
 
     def run_digest(run_dir: str) -> dict:
@@ -41,7 +43,11 @@ def main(checkout: str, work: str) -> None:
         for r in zip(*(v[c].to_pylist() for c in v.column_names)):
             h.update(repr(r).encode())
         s.pop("duration_s")
-        return {"summary": s, "violations": [v.num_rows, h.hexdigest()]}
+        rows = [
+            {k: v for k, v in r.items() if k not in ("duration_ms", "run_dir")}
+            for r in summary_rows(run_dir)
+        ]
+        return {"summary": s, "summary_rows": rows, "violations": [v.num_rows, h.hexdigest()]}
 
     ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
     DataContext.get_current().enable_progress_bars = False
