@@ -17,7 +17,7 @@ reference (which raises on first error), we always compute complete
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Any
 
 PASS, WARN, FAIL = "PASS", "WARN", "FAIL"
@@ -48,7 +48,19 @@ class CheckResult:
     duration_ms: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The check as a JSON-ready dict, in field order. ``metrics`` is
+        copied one level; its nested values are shared, not deep-copied
+        (nothing mutates them)."""
+        return {
+            "partition": self.partition,
+            "rule_id": self.rule_id,
+            "status": self.status,
+            "rows_failed": self.rows_failed,
+            "rows_total": self.rows_total,
+            "severity": self.severity,
+            "metrics": dict(self.metrics) if self.metrics is not None else None,
+            "duration_ms": self.duration_ms,
+        }
 
 
 def partition_verdict(results: list[CheckResult]) -> str:

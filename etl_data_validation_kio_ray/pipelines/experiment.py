@@ -16,7 +16,9 @@ baseline's outputs for every partition whose file is unchanged
 mutated runs validate their changed partitions together, in one
 ``ValidationPipeline.narrow_pass`` (one Ray execution per footer schema
 group, rows routed back to each run by file). ``run`` over each mutated
-input then finds every partition SUCCESS and adds only the run-scope
+input then goes on from that pass's job (``run(..., job=...)``): it
+reads nothing the pass already holds (each baseline shard's partials
+are read once per pass, not once per run) and adds only the run-scope
 checks (uniqueness, drift) and the verdicts. Each iteration's run dir is
 per-partition resumable like any other run. The runner scores:
 
@@ -142,13 +144,13 @@ def run_experiment(
         spent[action] = time.time() - t0
     pipe = pipeline_factory()
     t0 = time.time()
-    pipe.narrow_pass(list(dirs.values()), resume=True, reuse_from=[base_dir])
+    jobs = pipe.narrow_pass(list(dirs.values()), resume=True, reuse_from=[base_dir])
     shared = (time.time() - t0) / max(1, len(actions))
-    for action in actions:
+    for action, job in zip(actions, jobs):
         t0 = time.time()
         expected = EXPECTED_DETECTION[action]
         mut_dir, run_dir = dirs[action]
-        res = pipe.run(mut_dir, run_dir, resume=True, reuse_from=[base_dir])
+        res = pipe.run(mut_dir, run_dir, resume=True, reuse_from=[base_dir], job=job)
         fired = sorted(
             {
                 c.rule_id

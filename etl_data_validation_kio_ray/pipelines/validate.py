@@ -10,7 +10,8 @@ suite runner /root/reference/src/app2/validators/runner.py:109-228):
        (file stem, sha256 of the file, engine config) matches a SUCCESS
        partition of a source run links that run's raw outputs into
        raw/reused-*/ instead of being read; each distinct file is hashed
-       once per call
+       once per call, and each linked source shard's partials are read
+       once per call, shared by every job that links it
     read_parquet(the other pending files of every job, pruned columns)
       -> map_batches(CachedEngineFn(RuleEngine))  # all narrow rules, fused into
                                                   # the read task; small files share
@@ -21,12 +22,19 @@ suite runner /root/reference/src/app2/validators/runner.py:109-228):
                           # job's raw/_shared/ with each row's file, and each
                           # job's shard gets its own files' rows
     -> per-partition manifests: lineage only (status, shard, content key)
-  run(): narrow_pass([its one job]), then the run-scope checks
+    -> one NarrowJob per job: its files, shard owners and merged partials
+  run(): narrow_pass([its one job]), or run(job=...) goes on from a job
+  an earlier narrow_pass returned; then the run-scope checks
     kind=hash blobs -> id hashes seen twice     # the wide rule: a driver
                                                 # sort below DRIVER_UNIQUE_MAX_BYTES,
-                                                # else the bucketed blob exchange
-      -> read_parquet(columns=[doc_id, partition]) one exact confirm scan of
-         the candidates: the counts and the violation rows
+                                                # else the bucketed blob exchange;
+                                                # the driver sort also finds the
+                                                # partitions holding a candidate
+      -> one exact confirm scan of (doc_id, partition): the counts and the
+         violation rows. It reads only the holders' files, plus any file
+         whose footer does not show it carries only its own partition;
+         probed on the driver when those key columns total at most
+         DRIVER_UNIQUE_MAX_BYTES, else in a Ray read
     merge partials -> every check, built once: narrow + run-scope
       -> metrics / drift -> summary.json (its ``checks`` list is the
          run's one check table; the manifests are not written again)
@@ -46,9 +54,10 @@ opened again) — the file-level analog of the reference's
 ``only_unprocessed`` discovery filter (discovery.py:203-223). So a run()
 over a run dir that a shared narrow_pass filled reads no input file
 again: it builds the checks from the committed partial states and adds
-the run-scope ones. Work is chunked into shards of ``shard_size``
-partitions, each committed atomically, bounding recomputation after a
-crash.
+the run-scope ones. Given that pass's job, it does not even re-read the
+manifests or the partials: they are in memory. Work is chunked into
+shards of ``shard_size`` partitions, each committed atomically, bounding
+recomputation after a crash.
 """
 
 from __future__ import annotations
@@ -481,8 +490,11 @@ class ValidationPipeline:
                 j.phases["reuse_keys"] = round(time.time() - t_phase, 3)
 
         t_narrow = time.time()
+        # (source run, source shard) -> its merged partials, read once
+        # for every job that links that shard
+        linked: dict[tuple[str, str], dict] = {}
         for j in runs:
-            self._link_reused(j, reuse_from)
+            self._link_reused(j, reuse_from, linked)
         # round k validates shard k of every job: each job's shards
         # commit one at a time, bounding recomputation after a crash
         shards = []
@@ -501,10 +513,15 @@ class ValidationPipeline:
             j.phases["narrow_pass"] = round(time.time() - t_narrow, 3)
         return runs
 
-    def _link_reused(self, job: NarrowJob, reuse_from: list[str] | None) -> None:
+    def _link_reused(
+        self, job: NarrowJob, reuse_from: list[str] | None, linked: dict[tuple[str, str], dict]
+    ) -> None:
         """Link each source shard's outputs into a shard of the job's
         run, which the reused partitions' manifests name; the ownership
-        readers keep only their rows. Nothing is claimed or read."""
+        readers keep only their rows. Nothing is claimed. A source
+        shard's partials are read once per ``linked`` (one narrow pass)
+        and shared by every job that links it: no fold mutates a
+        state, ``_merge_stats`` and ``_merge_all`` build new ones."""
         by_source: dict[tuple[str, str], list[str]] = {}
         for p in sorted(job.reused):
             by_source.setdefault(job.reused[p], []).append(p)
@@ -513,7 +530,9 @@ class ValidationPipeline:
                 job.out_dir, f"reused-{reuse_from.index(src)}-{src_shard}", job.owners
             )
             _link_outputs(os.path.join(src, "raw", src_shard), shard_dir)
-            job.shard_stats[shard_name] = _read_partials(_kind_files(shard_dir, "partial"))
+            if (src, src_shard) not in linked:
+                linked[src, src_shard] = _read_partials(_kind_files(shard_dir, "partial"))
+            job.shard_stats[shard_name] = linked[src, src_shard]
             job.state.finish_many(
                 [
                     (p, {"shard": shard_name, "key": job.content_keys[p], "reused_from": src})
@@ -623,6 +642,7 @@ class ValidationPipeline:
         *,
         resume: bool = True,
         reuse_from: list[str] | None = None,
+        job: NarrowJob | None = None,
     ) -> RunResult:
         """Validate every partition file under ``input_path`` into
         ``out_dir``: the narrow rules (``narrow_pass``), then the
@@ -632,14 +652,28 @@ class ValidationPipeline:
         nothing. A list (``[]`` included) records each partition's
         content key in its manifest, and a partition whose key matches a
         SUCCESS partition of one of the listed runs is not read: that
-        run's raw outputs are linked into this run's ``raw/`` instead."""
-        import ray.data as rd
+        run's raw outputs are linked into this run's ``raw/`` instead.
 
+        ``job``: the ``NarrowJob`` that a ``narrow_pass`` over
+        ``(input_path, out_dir)`` returned (``resume`` and ``reuse_from``
+        were that pass's). The run then makes no pass of its own: it
+        takes the merged partial states, shard owners, input files and
+        unreadable inputs from the job, and its ``phases`` hold only its
+        own run-scope phases. The job is data, not configuration: the
+        result is the same without it. A job of another run dir raises
+        ValueError."""
         t0 = time.time()
-        os.makedirs(out_dir, exist_ok=True)
-        RunState(out_dir).audit.append("run_start", input=input_path, resume=resume)
-        job = self.narrow_pass([(input_path, out_dir)], resume=resume, reuse_from=reuse_from)[0]
-        state, files, owners, phases = job.state, job.files, job.owners, job.phases
+        if job is None:
+            os.makedirs(out_dir, exist_ok=True)
+            RunState(out_dir).audit.append("run_start", input=input_path, resume=resume)
+            job = self.narrow_pass([(input_path, out_dir)], resume=resume, reuse_from=reuse_from)[0]
+            phases = job.phases
+        elif os.path.realpath(job.out_dir) != os.path.realpath(out_dir):
+            raise ValueError(f"run: the job is {job.out_dir}'s, not {out_dir}'s")
+        else:
+            job.state.audit.append("run_start", input=input_path, resume=resume)
+            phases = {}
+        state, files, owners = job.state, job.files, job.owners
         all_parts = sorted(files)
         t_phase = time.time()
 
@@ -697,33 +731,28 @@ class ValidationPipeline:
         dup_violation_counts: dict[str, int] = {}
         uniq_spec = self.rules.get("doc_id_unique")
         if uniq_spec and uniq_spec.enabled:
-            cand = _candidate_hashes(out_dir, owners)
+            # partitions whose id hashes hold a candidate: only their
+            # files need the confirm scan. A row gate hashes only the
+            # rows it passes, so then every file is scanned
+            gate = self.rules.get("row_gate")
+            holders: set[str] | None = None if gate and gate.enabled else set()
+            cand = _candidate_hashes(out_dir, owners, holders)
             uniq_dir = os.path.join(out_dir, "unique_violations")
             if os.path.isdir(uniq_dir):
                 shutil.rmtree(uniq_dir)  # run-scope check is recomputed whole
             os.makedirs(uniq_dir)
-            # input files by whether they carry a partition column (an
-            # unreadable file carries no ids)
-            key_files: dict[bool, list[str]] = {}
-            if cand is not None and cand.num_rows:
-                for f in sorted(files.values()):
-                    names = _footer_names(f) or set()
-                    if ID_COL in names:
-                        key_files.setdefault(PARTITION_COL in names, []).append(f)
+            # one scan of (doc_id, partition) gives both the counts and
+            # the violation rows; rows of a file without the column
+            # count under its stem, as the rule engine keys them
+            key_files, nbytes = (
+                _confirm_files(files, holders) if cand is not None and cand.num_rows else ({}, 0)
+            )
             if key_files:
-                # one scan of (doc_id, partition) gives both the counts
-                # and the violation rows; rows of a file without the
-                # column count under its stem, as the rule engine keys
-                # them
-                first, *rest = (
-                    rd.read_parquet(fs, columns=[ID_COL, PARTITION_COL], **read_args(fs))
-                    if has
-                    else rd.read_parquet(
-                        fs, columns=[ID_COL], include_paths=True, **read_args(fs)
-                    ).map_batches(_partition_from_path, batch_format="pyarrow")
-                    for has, fs in sorted(key_files.items(), reverse=True)
+                keys = (
+                    _read_keys(key_files)
+                    if nbytes <= DRIVER_UNIQUE_MAX_BYTES
+                    else _key_dataset(key_files)
                 )
-                keys = first.union(*rest) if rest else first
                 dup_table = confirm_duplicates(keys, cand, ID_COL, PARTITION_COL)
                 if dup_table.num_rows:
                     import pyarrow.parquet as pq
@@ -1029,10 +1058,18 @@ def _owned_rows(t: pa.Table, owned: list[str]) -> pa.Table:
 DRIVER_UNIQUE_MAX_BYTES = 1 << 30
 
 
-def _candidate_hashes(out_dir: str, owners: dict[str, str]) -> pa.Table | None:
+def _candidate_hashes(
+    out_dir: str, owners: dict[str, str], holders: set[str] | None = None
+) -> pa.Table | None:
     """Small table ("h": int64) of id hashes seen more than once, or
     None when no hash rows exist. Chooses driver-side exact scan vs
-    distributed bucket shuffle by total hash volume."""
+    distributed bucket shuffle by total hash volume.
+
+    ``holders``, when given, gets the owned partitions whose hash rows
+    hold a candidate: exactly on the driver path when the hashes of
+    several shards are scanned; every partition of the one shard when
+    its hashes are sorted in place, and every owned partition on the
+    distributed path, which does not know them."""
     groups = _owned_outputs(out_dir, "hash", owners)
     if not groups:
         return None
@@ -1047,23 +1084,40 @@ def _candidate_hashes(out_dir: str, owners: dict[str, str]) -> pa.Table | None:
         # discarded, so mutating their payload buffers is safe)
         chunks: list = []
         keepalive: list = []
+        # per chunk: the partition and the hash count of each blob row
+        rows: list[tuple[pa.Array, np.ndarray]] = []
         for _, files, owned in groups:
             t = _owned_rows(pads.dataset(files).to_table(columns=HASH_COLS), owned)
             h, ka = writable_blob_hashes(t["payload"])
             if len(h):
                 chunks.append(h)
                 keepalive.append(ka)
+                valid = pc.is_valid(t["payload"])
+                lens = pc.binary_length(t["payload"].filter(valid)).to_numpy() // 8
+                rows.append((t["partition"].filter(valid), lens))
         if not chunks:
             return pa.table({"h": pa.array([], pa.int64())})
         # single group: sort its own buffer; several: the concat copy is
-        # freshly owned, sort that in place instead
+        # freshly owned, sort that in place instead (the chunks keep
+        # each row's hashes, so the holders are exact)
         h = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        out = pa.table({"h": pa.array(dup_values(h, sort_inplace=True), pa.int64())})
+        dups = dup_values(h, sort_inplace=True)
+        if holders is not None and len(dups):
+            if len(chunks) == 1:
+                holders.update(rows[0][0].to_pylist())
+            else:
+                for c, (parts, lens) in zip(chunks, rows):
+                    at = np.flatnonzero(np.isin(c, dups))
+                    row = np.searchsorted(np.cumsum(lens), at, side="right")
+                    holders.update(parts.take(pa.array(row)).to_pylist())
+        out = pa.table({"h": pa.array(dups, pa.int64())})
         del h, chunks, keepalive
         return out
 
     import ray.data as rd
 
+    if holders is not None:
+        holders.update(owners)
     parts_ds = [
         rd.read_parquet(files, columns=HASH_COLS).map_batches(
             lambda t, owned=owned: _owned_rows(t, owned), batch_format="pyarrow"
@@ -1072,6 +1126,78 @@ def _candidate_hashes(out_dir: str, owners: dict[str, str]) -> pa.Table | None:
     ]
     ds, *rest = parts_ds
     return candidate_hashes_from_blobs(ds.union(*rest) if rest else ds)
+
+
+def _confirm_files(
+    files: dict[str, str], holders: set[str] | None
+) -> tuple[dict[bool, list[str]], int]:
+    """The input files the duplicate confirm must scan, by whether they
+    carry a partition column, and the uncompressed size of their
+    ``doc_id``/``partition`` column chunks (footer). With ``holders``
+    (None: every file), a file whose footer shows it carries only its
+    own partition is scanned only when that partition holds a
+    candidate; any other file may hold rows keyed under any partition,
+    so it is scanned. An unreadable file carries no ids."""
+    import pyarrow.parquet as pq
+
+    key_files: dict[bool, list[str]] = {}
+    nbytes = 0
+    for f in sorted(files.values()):
+        try:
+            md = pq.read_metadata(f)
+        except Exception:  # noqa: BLE001 — unreadable file
+            continue
+        names = set(md.schema.to_arrow_schema().names)
+        if ID_COL not in names:
+            continue
+        if (
+            holders is not None
+            and file_partition(f) not in holders
+            and _carries_only_own_partition(f)
+        ):
+            continue
+        key_files.setdefault(PARTITION_COL in names, []).append(f)
+        cols = [
+            j for j in range(md.num_columns) if md.schema.column(j).path in (ID_COL, PARTITION_COL)
+        ]
+        nbytes += sum(
+            md.row_group(i).column(j).total_uncompressed_size
+            for i in range(md.num_row_groups)
+            for j in cols
+        )
+    return key_files, nbytes
+
+
+def _read_keys(key_files: dict[bool, list[str]]) -> pa.Table:
+    """(doc_id, partition) of the given files, read on the driver."""
+    import pyarrow.parquet as pq
+
+    tables = []
+    for has, fs in sorted(key_files.items(), reverse=True):
+        for f in fs:
+            if has:
+                t = pq.ParquetFile(f).read(columns=[ID_COL, PARTITION_COL])
+                tables.append(t.select([ID_COL, PARTITION_COL]))
+            else:
+                ids = pq.ParquetFile(f).read(columns=[ID_COL])[ID_COL]
+                stems = pa.array([file_partition(f)] * len(ids), pa.string())
+                tables.append(pa.table({ID_COL: ids, PARTITION_COL: stems}))
+    return pa.concat_tables(tables)
+
+
+def _key_dataset(key_files: dict[bool, list[str]]):
+    """(doc_id, partition) of the given files, as one Ray Dataset."""
+    import ray.data as rd
+
+    first, *rest = (
+        rd.read_parquet(fs, columns=[ID_COL, PARTITION_COL], **read_args(fs))
+        if has
+        else rd.read_parquet(
+            fs, columns=[ID_COL], include_paths=True, **read_args(fs)
+        ).map_batches(_partition_from_path, batch_format="pyarrow")
+        for has, fs in sorted(key_files.items(), reverse=True)
+    )
+    return first.union(*rest) if rest else first
 
 
 def _schema_groups(paths: list[str], want: list[str]):

@@ -24,7 +24,13 @@ Scale design (SURVEY.md §7.3):
   3. An EXACT confirm pass re-scans the keys with a vectorized
      ``is_in`` probe on the candidate hashes and counts the *actual*
      id strings of the hits — hash collisions are filtered here, so
-     the result is exact, never probabilistic.
+     the result is exact, never probabilistic. The scan reads only the
+     files that can hold a candidate: when the driver found the
+     candidates it also knows which partitions' hashes hold one, so
+     only those files are read, plus every file whose footer does not
+     show it carries only its own partition (pipelines/validate.py).
+     When those files' key columns are small, they are read and probed
+     on the driver, without a Ray execution.
 
 The confirm scan can carry each row's partition along
 (``confirm_duplicates(..., group_col=...)``), so the violation rows, one
@@ -216,12 +222,14 @@ def confirm_duplicates(
     id column, keep rows whose hash is a candidate (collisions included),
     count the actual id strings. Empty candidates -> empty table.
 
+    ``keys_ds`` is a Ray Dataset, probed batch by batch in its tasks, or
+    a ``pa.Table`` small enough for the driver, probed in-process with
+    the same probe and no Ray execution.
+
     ``group_col``: a column of ``keys_ds`` (e.g. the partition) whose
     value for each occurrence of a duplicated id is listed in a third
     column of that name, sorted, so the same scan also gives the
     per-row violations (:func:`occurrence_violations`)."""
-    import ray
-
     cols = [id_col] + ([group_col] if group_col else [])
     schema = pa.schema([(c, pa.string()) for c in cols])
     empty = pa.table(
@@ -235,18 +243,29 @@ def confirm_duplicates(
             f"{cand.num_rows} candidate duplicate keys exceeds driver collect "
             f"cap {MAX_DUP_KEYS_COLLECTED}; input looks pathologically duplicated"
         )
-    cand_ref = ray.put(cand["h"].combine_chunks())
+    cand_h = cand["h"].combine_chunks()
 
-    def probe(t: pa.Table) -> pa.Table:
+    def probe(t: pa.Table, value_set) -> pa.Table:
         t = t.select(cols)
         if t[id_col].null_count:
             t = t.filter(pc.is_valid(t[id_col]))
         h = _id_hashes(t, id_col)
-        return t.filter(pc.is_in(pa.array(h, pa.int64()), value_set=ray.get(cand_ref)))
+        return t.filter(pc.is_in(pa.array(h, pa.int64()), value_set=value_set))
 
-    hits = _collect(
-        keys_ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True), schema
-    )
+    if isinstance(keys_ds, pa.Table):
+        hits = probe(keys_ds, cand_h)
+    else:
+        import ray
+
+        cand_ref = ray.put(cand_h)
+        hits = _collect(
+            keys_ds.map_batches(
+                lambda t: probe(t, ray.get(cand_ref)),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            ),
+            schema,
+        )
     if hits.num_rows == 0:
         return empty
     if group_col:

@@ -20,6 +20,12 @@ The reference claims batches with ``FOR UPDATE SKIP LOCKED``
 write-to-temp + ``os.replace`` publish, so a manifest either exists
 complete or not at all, and a partition marked PROCESSING by a dead
 run is reclaimable (attempts increments on re-claim).
+
+Manifests are written one after another on the driver (``claim_many``,
+``finish_many``): each write is one small file replace. A run scans its
+manifests once, when its narrow pass opens it (``completed``,
+``shard_owners``); ``run(job=...)`` goes on from the owners that pass
+kept current and scans nothing again.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any
 
 NEW, PROCESSING, SUCCESS, FAILED = "NEW", "PROCESSING", "SUCCESS", "FAILED"
@@ -44,9 +50,9 @@ class AuditLog:
     full history of every attempt readable in order.
 
     Appends are driver-side only (manifest lifecycle runs on the
-    driver), guarded by a process-local lock for the thread-pooled
-    claim_many/finish_many paths, O_APPEND for crash-interleaving
-    safety across resumed processes.
+    driver), guarded by a process-local lock for callers that share a
+    run's log across threads, O_APPEND for crash-interleaving safety
+    across resumed processes.
     """
 
     def __init__(self, run_dir: str):
@@ -56,10 +62,10 @@ class AuditLog:
         self._lock = threading.Lock()
 
     def append(self, event: str, **fields: Any) -> None:
-        # the timestamp is read INSIDE the lock: two thread-pooled
-        # claim/finish appenders that stamped first and appended second
-        # would otherwise interleave so file order disagrees with ts
-        # order (observed as a 3 ms inversion in the crash-resume test)
+        # the timestamp is read INSIDE the lock: two threads that
+        # stamped first and appended second would otherwise interleave
+        # so file order disagrees with ts order (observed as a 3 ms
+        # inversion in the crash-resume test)
         with self._lock:
             rec = {"ts": time.time(), "event": event, **fields}
             # default=str: an unexpected field type (numpy scalar, Arrow
@@ -105,7 +111,8 @@ class PartitionManifest:
     reused_from: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        # every field is a scalar: no deep copy needed
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class RunState:
@@ -186,19 +193,17 @@ class RunState:
         }
 
     def claim_many(self, partitions: list[str]) -> None:
-        """Claim a batch of partitions on a thread pool — manifest I/O
-        is per-file and serializes badly at 10^4+ partitions."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=16) as ex:
-            list(ex.map(self.claim, partitions))
+        """Claim a batch of partitions, one after another: a manifest
+        write is a small file replace, and a thread pool per call cost
+        more than the writes it spread (measured on 1 CPU)."""
+        for p in partitions:
+            self.claim(p)
 
     def finish_many(self, items: list[tuple[str, dict]]) -> None:
-        """Finish a batch of (partition, finish-kwargs) on a thread pool."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=16) as ex:
-            list(ex.map(lambda it: self.finish(it[0], **it[1]), items))
+        """Finish a batch of (partition, finish-kwargs), one after
+        another (see ``claim_many``)."""
+        for partition, kwargs in items:
+            self.finish(partition, **kwargs)
 
     def fail(self, partition: str, error: str) -> PartitionManifest:
         m = self.load(partition)

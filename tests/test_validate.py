@@ -1189,3 +1189,124 @@ def test_narrow_pass_failure_fails_every_job(ray_session, tmp_path, monkeypatch)
     pipe.narrow_pass(jobs, resume=False, reuse_from=[src])
     assert any(n.endswith("-r1") for n in os.listdir(os.path.join(jobs[0][1], "raw")))
     assert sorted(os.listdir(staging)) == before
+
+
+# ---------------------------------------------------------------- run(job=...)
+
+
+def _with_copied_id(src_in: str, dst: str) -> str:
+    """A copy of ``src_in`` whose part-0000 carries part-0001's first
+    id in its first row."""
+    import pyarrow as pa
+
+    from etl_data_validation_kio_ray.sources.synth import partition_file
+
+    def copy_id(t):
+        ids = t["doc_id"].to_pylist()
+        ids[0] = pq.read_table(partition_file(src_in, 1))["doc_id"][0].as_py()
+        col = t.schema.get_field_index("doc_id")
+        return t.set_column(col, "doc_id", pa.array(ids, pa.string()))
+
+    return _with_part0(src_in, dst, copy_id)
+
+
+@pytest.mark.parametrize("driver_max_bytes", ["default", 0])
+def test_run_goes_on_from_the_pass_job(ray_session, tmp_path, monkeypatch, driver_max_bytes):
+    """A changed partition that copies an id of an unchanged, reused
+    partition fails doc_id_unique in both, through ``narrow_pass`` and
+    ``run(job=...)``, as a fresh run without reuse does. The pass reads
+    the linked source shard's partials once for both jobs, and the runs
+    read none again."""
+    from etl_data_validation_kio_ray.pipelines import validate as V
+
+    if driver_max_bytes != "default":
+        monkeypatch.setattr(V, "DRIVER_UNIQUE_MAX_BYTES", driver_max_bytes)
+    src_in = _reuse_corpus(str(tmp_path / "src_in"))
+    src = str(tmp_path / "src")
+    ValidationPipeline(allowed_sources=ALLOWED).run(src_in, src, reuse_from=[])
+    ins = [_with_copied_id(src_in, str(tmp_path / f"in{k}")) for k in range(2)]
+    outs = [str(tmp_path / f"out{k}") for k in range(2)]
+
+    reads = []
+    read_partials = V._read_partials
+
+    def counted(files):
+        reads.append(sorted({os.path.relpath(f, str(tmp_path)).split(os.sep)[2] for f in files}))
+        return read_partials(files)
+
+    monkeypatch.setattr(V, "_read_partials", counted)
+    pipe = ValidationPipeline(allowed_sources=ALLOWED)
+    jobs = pipe.narrow_pass(list(zip(ins, outs)), reuse_from=[src])
+    # the linked baseline shard once, then each job's new shard
+    assert reads == [["reused-0-shard-part-0000"], ["shard-part-0000"], ["shard-part-0000"]]
+    assert [sorted(j.reused) for j in jobs] == [[f"part-{p:04d}" for p in range(1, 6)]] * 2
+    got = [_run_outputs(out, pipe.run(d, out, job=j)) for d, out, j in zip(ins, outs, jobs)]
+    assert len(reads) == 3
+
+    fresh = str(tmp_path / "fresh")
+    want = _run_outputs(fresh, ValidationPipeline(allowed_sources=ALLOWED).run(ins[0], fresh))
+    for g in got:
+        _assert_same(g, want)
+    vio = got[0][1]
+    dup = vio[vio.rule_id == "doc_id_unique"]
+    assert sorted(dup.partition) == ["part-0000", "part-0001"]
+    assert set(dup.reason) == {"doc_id appears 2 times"} and dup.doc_id.nunique() == 1
+    failed = [
+        c["partition"]
+        for c in got[0][0]["checks"]
+        if c["rule_id"] == "doc_id_unique" and c["status"] == "FAIL"
+    ]
+    assert sorted(failed) == ["part-0000", "part-0001"]
+
+
+def test_driver_confirm_reads_holders_and_foreign_files(ray_session, tmp_path, monkeypatch):
+    """The driver confirm reads only the partitions whose hashes hold a
+    candidate, plus every file that may carry another partition's rows:
+    part-0003's file also carries 30 rows of part-0002, which duplicate
+    part-0002's ids. The violation rows equal the distributed path's."""
+    import json
+
+    import pyarrow as pa
+
+    from etl_data_validation_kio_ray.pipelines import validate as V
+    from etl_data_validation_kio_ray.sources.synth import partition_file
+
+    d = _reuse_corpus(str(tmp_path / "in"), 4)
+    pq.write_table(
+        pa.concat_tables([make_partition(3, 120), make_partition(2, 30)]), partition_file(d, 3)
+    )
+    read = []
+    read_keys = V._read_keys
+
+    def recorded(key_files):
+        read.append(sorted(os.path.basename(f) for fs in key_files.values() for f in fs))
+        return read_keys(key_files)
+
+    monkeypatch.setattr(V, "_read_keys", recorded)
+
+    def run(name):
+        out = str(tmp_path / name)
+        ValidationPipeline(allowed_sources=ALLOWED, shard_size=2).run(d, out)
+        with open(os.path.join(out, "summary.json")) as f:
+            checks = [c for c in json.load(f)["checks"] if c["rule_id"] == "doc_id_unique"]
+        return checks, V.load_violations(out).to_pandas()
+
+    checks, vio = run("driver")
+    assert read == [["part-0002.parquet", "part-0003.parquet"]]
+    dup = vio[vio.rule_id == "doc_id_unique"]
+    assert len(dup) == 60 and set(dup.partition) == {"part-0002"}
+
+    monkeypatch.setattr(V, "DRIVER_UNIQUE_MAX_BYTES", 0)
+    checks0, vio0 = run("distributed")
+    assert len(read) == 1
+    assert checks0 == checks
+    pd.testing.assert_frame_equal(vio0, vio)
+
+
+def test_run_refuses_another_dirs_job(ray_session, tmp_path):
+    pipe = ValidationPipeline(allowed_sources=ALLOWED)
+    d = _reuse_corpus(str(tmp_path / "in"), 2)
+    (job,) = pipe.narrow_pass([(d, str(tmp_path / "a"))])
+    with pytest.raises(ValueError, match="job"):
+        pipe.run(d, str(tmp_path / "b"), job=job)
+    assert not os.path.exists(tmp_path / "b")
