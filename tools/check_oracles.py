@@ -8,11 +8,21 @@ Ray gets ``RAY_GRAFT_CPUS`` CPUs (default 8; ``RAY_GRAFT_CPUS=1`` is the
 1-CPU screen). An entry that runs longer than ``ENTRY_TIMEOUT_S`` prints
 ``TIMEOUT <name>``, counts as a failure, and Ray is restarted so the
 wedged execution cannot hold up the next entry.
+
+Each entry's line ends with ``warn=R/H``: how many of Ray Data's
+"Operator produced a RefBundle with a different schema" (R) and
+"Failed to hash the schemas" (H) warnings the entry logged, read from
+this process's stderr and from the session's ``logs/ray-data/ray-data.log``
+(every warning lands there; some are echoed to stderr as well, so each
+kind counts as the larger of the two streams). A final ``# warnings``
+line gives the totals.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+import tempfile
 import threading
 import time
 
@@ -90,9 +100,58 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     return problems
 
 
-def _init_ray():
-    import os
+WARNINGS = (
+    ("refbundle", "Operator produced a RefBundle with a different schema"),
+    ("hash", "Failed to hash the schemas"),
+)
 
+
+class WarningCounter:
+    """Counts Ray Data's schema warnings per entry in two streams: fd 2,
+    which is redirected to a temp file and echoed back to the real
+    stderr after each entry, and the Ray session's ray-data.log. A Ray
+    restart starts a new session, so the log is re-located and its
+    offset re-taken by :meth:`start` before every entry."""
+
+    def __init__(self):
+        self._stderr = os.dup(2)
+        self._tmp = tempfile.TemporaryFile()
+        os.dup2(self._tmp.fileno(), 2)
+        self.totals = dict.fromkeys((k for k, _ in WARNINGS), 0)
+
+    @staticmethod
+    def _log_path() -> str | None:
+        from ray.data._internal.logging import get_log_directory
+
+        d = get_log_directory()
+        return os.path.join(d, "ray-data.log") if d else None
+
+    def start(self):
+        sys.stderr.flush()
+        self._err_at = os.lseek(2, 0, os.SEEK_END)
+        self._log = self._log_path()
+        self._log_at = os.path.getsize(self._log) if self._log and os.path.exists(self._log) else 0
+
+    def stop(self) -> dict:
+        sys.stderr.flush()
+        end = os.lseek(2, 0, os.SEEK_END)
+        err = os.pread(self._tmp.fileno(), end - self._err_at, self._err_at)
+        os.write(self._stderr, err)
+        log = b""
+        if self._log and os.path.exists(self._log):
+            with open(self._log, "rb") as f:
+                f.seek(self._log_at)
+                log = f.read()
+        # every warning reaches the log; a console copy of it may also
+        # reach stderr, so the larger count is the entry's count
+        err, log = err.decode("utf-8", "replace"), log.decode("utf-8", "replace")
+        counts = {k: max(err.count(pat), log.count(pat)) for k, pat in WARNINGS}
+        for k, v in counts.items():
+            self.totals[k] += v
+        return counts
+
+
+def _init_ray():
     import ray
     from ray.data import DataContext
 
@@ -132,6 +191,7 @@ def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
     failures = 0
+    warn = WarningCounter()
     try:
         _init_ray()
         import __ray_entry__ as entry
@@ -148,17 +208,20 @@ def main():
         for name, fn in qs.items():
             if only and name not in only:
                 continue
+            warn.start()
             t0 = time.perf_counter()
             ray_df, err = run_entry(fn, sf_dir, ENTRY_TIMEOUT_S)
             secs = f"({time.perf_counter() - t0:.2f} s)"
+            w = warn.stop()
+            secs += f" warn={w['refbundle']}/{w['hash']}"
             if ray_df is None and err is None:
-                print(f"TIMEOUT {name}", flush=True)
+                print(f"TIMEOUT {name} {secs}", flush=True)
                 failures += 1
                 ray.shutdown()
                 _init_ray()
                 continue
             if err is not None:
-                print(f"FAIL {name}: query raised {err!r}", flush=True)
+                print(f"FAIL {name}: query raised {err!r} {secs}", flush=True)
                 failures += 1
                 continue
             if name not in oracles:
@@ -168,9 +231,14 @@ def main():
             problems = compare(name, ray_df, sql_df)
             if problems:
                 failures += 1
-                print(f"FAIL {name}: " + "; ".join(problems), flush=True)
+                print(f"FAIL {name}: " + "; ".join(problems) + f" {secs}", flush=True)
             else:
                 print(f"OK   {name}: rows={len(ray_df)} hash-comparable {secs}", flush=True)
+        print(
+            f"# warnings: refbundle={warn.totals['refbundle']} "
+            f"hash={warn.totals['hash']}",
+            flush=True,
+        )
     finally:
         ray.shutdown()
     sys.exit(1 if failures else 0)
