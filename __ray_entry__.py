@@ -1552,9 +1552,10 @@ def q_order_item_consistency(sf_dir: str):
             }
         )
 
-    both = li.map_batches(
-        li_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).union(orders.map_batches(o_partial, batch_format="pyarrow"))
+    both = [
+        li.map_batches(li_partial, batch_format="pyarrow", zero_copy_batch=True),
+        orders.map_batches(o_partial, batch_format="pyarrow"),
+    ]
 
     def flags(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t["status"]))  # LEFT-join shape
@@ -1702,12 +1703,14 @@ def q_top_words_per_source(sf_dir: str):
     exchange to k rows per (source, batch)."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import top_k_per_group
+    from etl_data_validation_kio_ray.pipelines.relational import (
+        bucket_exchange,
+        top_k_per_group,
+    )
 
     docs = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
     )
-    nb = np.int64(32)
 
     def pairs(t: pa.Table) -> pa.Table:
         text = t["text"]
@@ -1728,19 +1731,15 @@ def q_top_words_per_source(sf_dir: str):
             .group_by(["source", "word"])
             .aggregate([("word", "count")])
         )
-        from etl_data_validation_kio_ray.pipelines.relational import tag_bucket
-
-        out = pa.table(
+        return pa.table(
             {
                 "source": g["source"],
                 "word": g["word"],
                 "tf": g["word_count"].cast(pa.int64()),
             }
         )
-        return tag_bucket(out, "word", int(nb))
 
-    def totals(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def totals(g: pa.Table, _b: int) -> pa.Table:
         out = g.group_by(["source", "word"]).aggregate([("tf", "sum")])
         return pa.table(
             {
@@ -1750,10 +1749,14 @@ def q_top_words_per_source(sf_dir: str):
             }
         )
 
-    agg = (
-        docs.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(totals, batch_format="pyarrow")
+    agg = bucket_exchange(
+        docs.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
+        "word",
+        totals,
+        schema=pa.schema(
+            [("source", pa.string()), ("word", pa.string()), ("tf", pa.int64())]
+        ),
+        num_buckets=32,
     )
     out = top_k_per_group(agg, "source", [("tf", True), ("word", False)], 5)
     out["tf"] = out["tf"].astype("int64")
@@ -1840,13 +1843,12 @@ def q_dup_clusters(sf_dir: str):
     import ray.data as rd
 
     from etl_data_validation_kio_ray.dedup.cluster import connected_components
-    from etl_data_validation_kio_ray.pipelines.relational import tag_bucket
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     docs = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "source", "text"],
     )
-    nb = np.int64(32)
 
     def keyed(t: pa.Table) -> pa.Table:
         # null text/source -> null key; the SQL twin's JOIN USING(key)
@@ -1863,11 +1865,11 @@ def q_dup_clusters(sf_dir: str):
             pc.cast(n_tok, pa.string()),
             ":",
         )
-        out = pa.table({"key": key, "doc_id": t["doc_id"]})
-        return tag_bucket(out, "key", int(nb))
+        return pa.table({"key": key, "doc_id": t["doc_id"]})
 
-    def chain_edges(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    edge_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+
+    def chain_edges(g: pa.Table, _b: int) -> pa.Table:
         g = g.take(
             pc.sort_indices(
                 g, sort_keys=[("key", "ascending"), ("doc_id", "ascending")]
@@ -1875,17 +1877,15 @@ def q_dup_clusters(sf_dir: str):
         )
         keys = g["key"].to_numpy(zero_copy_only=False)
         ids = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(ids) < 2:
-            return pa.table(
-                {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}
-            )
         same = keys[1:] == keys[:-1]
-        return pa.table({"a": pa.array(ids[:-1][same]), "b": pa.array(ids[1:][same])})
+        return pa.table([ids[:-1][same], ids[1:][same]], schema=edge_schema)
 
-    edges = (
-        docs.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(chain_edges, batch_format="pyarrow")
+    edges = bucket_exchange(
+        docs.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "key",
+        chain_edges,
+        schema=edge_schema,
+        num_buckets=32,
     )
     out = connected_components(edges, "a", "b")
     out["node"] = out["node"].astype("int64")
@@ -4821,9 +4821,10 @@ def q_event_cooccurrence(sf_dir: str):
     type_b, n) partials leave the bucket, never baskets."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import grouped_agg
-
-    NB = np.int64(32)
+    from etl_data_validation_kio_ray.pipelines.relational import (
+        bucket_exchange,
+        grouped_agg,
+    )
 
     ev = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
@@ -4831,24 +4832,20 @@ def q_event_cooccurrence(sf_dir: str):
     )
 
     def project(t: pa.Table) -> pa.Table:
-        day = pc.cast(t["ts"], pa.date32())
-        uid = pc.cast(t["user_id"], pa.int64())
-        u = uid.to_numpy(zero_copy_only=False).astype(np.uint64)
-        d = pc.cast(day, pa.int32()).to_numpy(zero_copy_only=False).astype(
-            np.uint64
-        )
-        h = (u * np.uint64(0x9E3779B97F4A7C15) ^ d) % np.uint64(NB)
         return pa.table(
             {
-                "uid": uid,
-                "day": day,
+                "uid": pc.cast(t["user_id"], pa.int64()),
+                "day": pc.cast(t["ts"], pa.date32()),
                 "et": t["event_type"],
-                "__b": pa.array(h.astype(np.int32)),
             }
         )
 
-    def bucket_pairs(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def basket(t: pa.Table, nb: int) -> np.ndarray:
+        u = t["uid"].to_numpy().astype(np.uint64)
+        d = pc.cast(t["day"], pa.int32()).to_numpy().astype(np.uint64)
+        return (u * np.uint64(0x9E3779B97F4A7C15) ^ d) % np.uint64(nb)
+
+    def bucket_pairs(g: pa.Table, _b: int) -> pa.Table:
         d = (
             g.group_by(["uid", "day", "et"])
             .aggregate([])
@@ -4870,10 +4867,14 @@ def q_event_cooccurrence(sf_dir: str):
             }
         )
 
-    pairs = (
-        ev.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+    pairs = bucket_exchange(
+        ev.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        basket,
+        bucket_pairs,
+        schema=pa.schema(
+            [("type_a", pa.string()), ("type_b", pa.string()), ("n", pa.int64())]
+        ),
+        num_buckets=32,
     )
     out = grouped_agg(
         pairs, ["type_a", "type_b"], {"n_user_days": ("n", "sum")}
@@ -5152,13 +5153,10 @@ def q_idle_rich_customers(sf_dir: str):
             }
         )
 
-    union = cust_c.map_batches(
-        rich_side, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        orders.map_batches(
-            order_side, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    union = [
+        cust_c.map_batches(rich_side, batch_format="pyarrow", zero_copy_batch=True),
+        orders.map_batches(order_side, batch_format="pyarrow", zero_copy_batch=True),
+    ]
 
     def post(t: pa.Table) -> pa.Table:
         is_cust = pc.fill_null(t["is_cust"], 0)
@@ -5486,8 +5484,8 @@ def q_nation_segments(sf_dir: str):
     import ray.data as rd
 
     from etl_data_validation_kio_ray.pipelines.relational import (
+        bucket_exchange,
         collect_sorted,
-        tag_bucket,
     )
 
     cust = rd.read_parquet(
@@ -5507,29 +5505,25 @@ def q_nation_segments(sf_dir: str):
             .group_by(["c_nationkey", "c_mktsegment"])
             .aggregate([("one", "sum")])
         )
-        out = pa.table(
+        return pa.table(
             {
                 "c_nationkey": g["c_nationkey"],
                 "c_mktsegment": g["c_mktsegment"],
                 "n": pc.cast(g["one_sum"], pa.int64()),
             }
         )
-        return tag_bucket(out, "c_nationkey", 16)
 
-    empty = pa.table(
-        {
-            "c_nationkey": pa.array([], pa.int64()),
-            "n_cust": pa.array([], pa.int64()),
-            "n_segments": pa.array([], pa.int64()),
-            "segments": pa.array([], pa.string()),
-        }
+    schema = pa.schema(
+        [
+            ("c_nationkey", pa.int64()),
+            ("n_cust", pa.int64()),
+            ("n_segments", pa.int64()),
+            ("segments", pa.string()),
+        ]
     )
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         df = g.to_pandas()
-        if df.empty:
-            return empty
         agg = (
             df.groupby(["c_nationkey", "c_mktsegment"], as_index=False)["n"]
             .sum()
@@ -5545,20 +5539,14 @@ def q_nation_segments(sf_dir: str):
                     "segments": ",".join(sub["c_mktsegment"]),
                 }
             )
-        out = pd.DataFrame(rows)
-        return pa.table(
-            {
-                "c_nationkey": pa.array(out["c_nationkey"], pa.int64()),
-                "n_cust": pa.array(out["n_cust"], pa.int64()),
-                "n_segments": pa.array(out["n_segments"], pa.int64()),
-                "segments": pa.array(out["segments"], pa.string()),
-            }
-        )
+        return pa.Table.from_pylist(rows, schema=schema)
 
-    out = (
-        cust.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    out = bucket_exchange(
+        cust.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "c_nationkey",
+        reduce_bucket,
+        schema=schema,
+        num_buckets=16,
     )
     df = collect_sorted(out, ["c_nationkey"])
     for c in ("c_nationkey", "n_cust", "n_segments"):
@@ -5578,8 +5566,8 @@ def q_cumulative_distinct_users(sf_dir: str):
     import ray.data as rd
 
     from etl_data_validation_kio_ray.pipelines.relational import (
+        bucket_exchange,
         collect_sorted,
-        tag_bucket,
     )
 
     ev = rd.read_parquet(
@@ -5604,17 +5592,15 @@ def q_cumulative_distinct_users(sf_dir: str):
             .group_by(["user_id", "event_type"])
             .aggregate([("day", "min")])
         )
-        out = pa.table(
+        return pa.table(
             {
                 "user_id": g["user_id"],
                 "event_type": g["event_type"],
                 "day": g["day_min"],
             }
         )
-        return tag_bucket(out, "user_id", 32)
 
-    def reduce_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"])
+    def reduce_bucket(t: pa.Table, _b: int) -> pa.Table:
         m = t.group_by(["user_id", "event_type"]).aggregate([("day", "min")])
         g = (
             pa.table({"day": m["day_min"]})
@@ -5625,10 +5611,12 @@ def q_cumulative_distinct_users(sf_dir: str):
             {"day": g["day"], "n_new": pc.cast(g["count_all"], pa.int64())}
         )
 
-    parts = (
-        ev.map_batches(to_day, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    parts = bucket_exchange(
+        ev.map_batches(to_day, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id",
+        reduce_bucket,
+        schema=pa.schema([("day", pa.int64()), ("n_new", pa.int64())]),
+        num_buckets=32,
     )
     df = collect_sorted(parts, ["day"])
     df = df.groupby("day", as_index=False)["n_new"].sum()
@@ -5832,9 +5820,9 @@ def q_weighted_median_price(sf_dir: str):
     import ray.data as rd
 
     from etl_data_validation_kio_ray.pipelines.relational import (
+        bucket_exchange,
         grouped_agg,
         grouped_prefix_sum,
-        tag_bucket,
     )
 
     li = rd.read_parquet(
@@ -5856,22 +5844,22 @@ def q_weighted_median_price(sf_dir: str):
             .group_by(["f", "p"])
             .aggregate([("w", "sum")])
         )
-        out = pa.table(
+        return pa.table(
             {"f": g["f"], "p": g["p"], "w": pc.cast(g["w_sum"], pa.int64())}
         )
-        return tag_bucket(out, "p", 32)
 
-    def uniq(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"])
+    def uniq(t: pa.Table, _b: int) -> pa.Table:
         g = t.group_by(["f", "p"]).aggregate([("w", "sum")])
         return pa.table(
             {"f": g["f"], "p": g["p"], "w": pc.cast(g["w_sum"], pa.int64())}
         )
 
-    pairs = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(uniq, batch_format="pyarrow")
+    pairs = bucket_exchange(
+        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "p",
+        uniq,
+        schema=pa.schema([("f", pa.string()), ("p", pa.int64()), ("w", pa.int64())]),
+        num_buckets=32,
     )
     ranked, totals = grouped_prefix_sum(
         pairs, group_col="f", order_keys=["p"], value_col="w",
@@ -5974,7 +5962,7 @@ def q_priority_trend(sf_dir: str):
     handful of rows in Python ints and proves the int64 cast."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import tag_bucket
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     orders = rd.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -5998,13 +5986,11 @@ def q_priority_trend(sf_dir: str):
             .group_by(["pr", "day"])
             .aggregate([("one", "sum")])
         )
-        out = pa.table(
+        return pa.table(
             {"pr": g["pr"], "day": g["day"], "c": pc.cast(g["one_sum"], pa.int64())}
         )
-        return tag_bucket(out, "day", 32)
 
-    def moments(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"])
+    def moments(t: pa.Table, _b: int) -> pa.Table:
         u = t.group_by(["pr", "day"]).aggregate([("c", "sum")])
         day = u["day"].to_numpy(zero_copy_only=False).astype(np.int64)
         c = u["c_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -6030,12 +6016,16 @@ def q_priority_trend(sf_dir: str):
             }
         )
 
-    parts = (
-        orders.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(moments, batch_format="pyarrow")
-        .to_pandas()
-    )
+    parts = bucket_exchange(
+        orders.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "day",
+        moments,
+        schema=pa.schema(
+            [("pr", pa.string())]
+            + [(k, pa.int64()) for k in ("n", "sx", "sy", "sxy", "sxx")]
+        ),
+        num_buckets=32,
+    ).to_pandas()
     rows = []
     for pr, sub in parts.groupby("pr", sort=True):
         n = int(sub["n"].sum())
@@ -6195,7 +6185,7 @@ def q_cohort_retention(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         collect_sorted,
-        tag_bucket,
+        bucket_exchange,
     )
 
     ev = rd.read_parquet(
@@ -6215,10 +6205,9 @@ def q_cohort_retention(sf_dir: str):
             .group_by(["user_id", "w"])
             .aggregate([])
         )
-        return tag_bucket(g, "user_id", 32)
+        return g
 
-    def reduce_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"])
+    def reduce_bucket(t: pa.Table, _b: int) -> pa.Table:
         m = t.group_by(["user_id", "w"]).aggregate([])
         u = m["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         w = m["w"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -6248,10 +6237,14 @@ def q_cohort_retention(sf_dir: str):
             }
         )
 
-    parts = (
-        ev.map_batches(to_week, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    parts = bucket_exchange(
+        ev.map_batches(to_week, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id",
+        reduce_bucket,
+        schema=pa.schema(
+            [(c, pa.int64()) for c in ("cohort_week", "week_offset", "n_users")]
+        ),
+        num_buckets=32,
     )
     df = collect_sorted(parts, ["cohort_week", "week_offset"])
     df = df.groupby(["cohort_week", "week_offset"], as_index=False)[
@@ -6691,8 +6684,8 @@ def q_scd2_history(sf_dir: str):
     import ray.data as rd
 
     from etl_data_validation_kio_ray.pipelines.relational import (
+        bucket_exchange,
         collect_sorted,
-        tag_bucket,
     )
 
     cust = rd.read_parquet(
@@ -6725,12 +6718,9 @@ def q_scd2_history(sf_dir: str):
                 "vf": pa.array(np.ones(int(sel.sum()), np.int64)),
             }
         )
-        return tag_bucket(
-            pa.concat_tables([base, upd]), "c_custkey", 32
-        )
+        return pa.concat_tables([base, upd])
 
-    def reduce_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"])
+    def reduce_bucket(t: pa.Table, _b: int) -> pa.Table:
         k = t["c_custkey"].to_numpy(zero_copy_only=False)
         vf = t["vf"].to_numpy(zero_copy_only=False)
         order = np.lexsort((vf, k))
@@ -6761,12 +6751,15 @@ def q_scd2_history(sf_dir: str):
             }
         )
 
-    out = (
-        cust.map_batches(
-            both_sides, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    out = bucket_exchange(
+        cust.map_batches(both_sides, batch_format="pyarrow", zero_copy_batch=True),
+        "c_custkey",
+        reduce_bucket,
+        schema=pa.schema(
+            [("c_custkey", pa.int64()), ("seg", pa.string())]
+            + [(c, pa.int64()) for c in ("vf", "version", "valid_to", "is_current")]
+        ),
+        num_buckets=32,
     )
     df = collect_sorted(out, ["c_custkey", "vf"])
     for c in ("c_custkey", "vf", "version", "valid_to", "is_current"):
@@ -6887,8 +6880,8 @@ def q_curation_pipeline(sf_dir: str):
         sliding_chunk_plan,
     )
     from etl_data_validation_kio_ray.pipelines.relational import (
-        collect_sorted,
-        tag_bucket,
+        bucket_exchange,
+        grouped_agg,
     )
 
     docs = rd.read_parquet(
@@ -6903,15 +6896,11 @@ def q_curation_pipeline(sf_dir: str):
         ntok = pc.list_value_length(
             pc.split_pattern(pc.fill_null(text, ""), " ")
         )
-        t = t.filter(pc.greater_equal(ntok, CURATION_MIN_TOK))
-        return tag_bucket(t, "text", 32)
+        return t.filter(pc.greater_equal(ntok, CURATION_MIN_TOK))
 
-    def dedup_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"])
+    def dedup_chunk_shard(t: pa.Table, _b: int) -> pa.Table:
         g = t.group_by("text").aggregate([("doc_id", "min")])
-        return pa.table({"doc_id": g["doc_id_min"], "text": g["text"]})
-
-    def chunk_and_shard(t: pa.Table) -> pa.Table:
+        t = pa.table({"doc_id": g["doc_id_min"], "text": g["text"]})
         plan = sliding_chunk_plan(t, size=CHUNK_SIZE, overlap=CHUNK_OVERLAP)
         ci = plan["chunk_idx"].to_numpy(zero_copy_only=False)
         if len(ci) and int(ci.max()) >= 1000:
@@ -6941,15 +6930,18 @@ def q_curation_pipeline(sf_dir: str):
             }
         )
 
-    from etl_data_validation_kio_ray.pipelines.relational import grouped_agg
-
     # final fold via a Ray exchange: driver receives 16 shard rows,
     # never block-proportional partials
     df = grouped_agg(
-        docs.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(dedup_bucket, batch_format="pyarrow")
-        .map_batches(chunk_and_shard, batch_format="pyarrow"),
+        bucket_exchange(
+            docs.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True),
+            "text",
+            dedup_chunk_shard,
+            schema=pa.schema(
+                [(c, pa.int64()) for c in ("shard", "n_chunks", "sum_tok")]
+            ),
+            num_buckets=32,
+        ),
         ["shard"],
         {"n_chunks": ("n_chunks", "sum"), "sum_tok": ("sum_tok", "sum")},
     )
@@ -6974,7 +6966,7 @@ def q_purchase_attribution(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         collect_sorted,
-        tag_bucket,
+        bucket_exchange,
     )
 
     ev = rd.read_parquet(
@@ -6986,7 +6978,7 @@ def q_purchase_attribution(sf_dir: str):
         ts = t["ts"]
         if isinstance(ts, pa.ChunkedArray):
             ts = ts.combine_chunks()
-        out = pa.table(
+        return pa.table(
             {
                 "user_id": pc.cast(t["user_id"], pa.int64()),
                 "ts": ts.cast(pa.int64()),
@@ -6997,10 +6989,8 @@ def q_purchase_attribution(sf_dir: str):
                 ),
             }
         )
-        return tag_bucket(out, "user_id", 32)
 
-    def reduce_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"])
+    def reduce_bucket(t: pa.Table, _b: int) -> pa.Table:
         u = t["user_id"].to_numpy(zero_copy_only=False)
         ts = t["ts"].to_numpy(zero_copy_only=False)
         eid = t["event_id"].to_numpy(zero_copy_only=False)
@@ -7040,10 +7030,18 @@ def q_purchase_attribution(sf_dir: str):
             }
         )
 
-    parts = (
-        ev.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    parts = bucket_exchange(
+        ev.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id",
+        reduce_bucket,
+        schema=pa.schema(
+            [
+                ("attributed_type", pa.string()),
+                ("n_purchases", pa.int64()),
+                ("value_c", pa.int64()),
+            ]
+        ),
+        num_buckets=32,
     )
     df = collect_sorted(parts, ["attributed_type"])
     df = df.groupby("attributed_type", as_index=False).agg(
@@ -7934,29 +7932,26 @@ def q_dedup_rate_by_source(sf_dir: str):
     from etl_data_validation_kio_ray.functions.hashing import hash_string_array
     from etl_data_validation_kio_ray.pipelines.relational import (
         collect_sorted,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     docs = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
     )
-    nb = resolve_num_buckets(docs)
 
     def pre(t: pa.Table) -> pa.Table:
-        h = hash_string_array(t["text"]).view(np.int64)  # bits, tag_bucket-safe
+        h = hash_string_array(t["text"]).view(np.int64)  # bits, bucket-safe
         ht = pa.table({"source": t["source"], "h": pa.array(h)})
         g = ht.group_by(["source", "h"]).aggregate([("h", "count")])
-        out = pa.table(
+        return pa.table(
             {
                 "source": g["source"],
                 "h": g["h"],
                 "c": pc.cast(g["h_count"], pa.int64()),
             }
         )
-        return tag_bucket(out, "h", nb)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         gg = g.group_by(["source", "h"]).aggregate([("c", "sum")])
         per = gg.group_by("source").aggregate([("c_sum", "sum"), ([], "count_all")])
         return pa.table(
@@ -7967,10 +7962,17 @@ def q_dedup_rate_by_source(sf_dir: str):
             }
         )
 
-    parts = (
-        docs.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    parts = bucket_exchange(
+        docs.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
+        "h",
+        reduce_bucket,
+        schema=pa.schema(
+            [
+                ("source", pa.string()),
+                ("n_docs", pa.int64()),
+                ("n_distinct", pa.int64()),
+            ]
+        ),
     )
     df = collect_sorted(parts, ["source"])
     df = df.groupby("source", as_index=False).sum()
@@ -8084,14 +8086,12 @@ def q_type_token_hapax(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         collect_sorted,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     docs = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
     )
-    nb = resolve_num_buckets(docs)
 
     def pre(t: pa.Table) -> pa.Table:
         text = t["text"]
@@ -8110,16 +8110,15 @@ def q_type_token_hapax(sf_dir: str):
             pc.not_equal(flat, "")
         )
         g = pairs.group_by(["source", "word"]).aggregate([("word", "count")])
-        out = pa.table(
+        return pa.table(
             {
                 "source": g["source"],
                 "word": g["word"],
                 "c": pc.cast(g["word_count"], pa.int64()),
             }
         )
-        return tag_bucket(out, "word", nb)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         gg = g.group_by(["source", "word"]).aggregate([("c", "sum")])
         hap = pc.cast(pc.equal(gg["c_sum"], 1), pa.int64())
         per = (
@@ -8142,10 +8141,18 @@ def q_type_token_hapax(sf_dir: str):
             }
         )
 
-    parts = (
-        docs.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    parts = bucket_exchange(
+        docs.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
+        "word",
+        reduce_bucket,
+        schema=pa.schema(
+            [
+                ("source", pa.string()),
+                ("total_words", pa.int64()),
+                ("hapax_words", pa.int64()),
+                ("distinct_words", pa.int64()),
+            ]
+        ),
     )
     df = collect_sorted(parts, ["source"])
     df = df.groupby("source", as_index=False)[
@@ -9052,9 +9059,8 @@ def q_bloom_prefilter_join(sf_dir: str):
         probe_bloom,
     )
     from etl_data_validation_kio_ray.pipelines.relational import (
+        bucket_exchange,
         grouped_agg,
-        resolve_num_buckets,
-        tag_bucket,
     )
 
     urgent = rd.read_parquet(
@@ -9089,20 +9095,13 @@ def q_bloom_prefilter_join(sf_dir: str):
                 }
             )
 
-    # bucket count tracks the fact side's block count (the bloom-passing
-    # stream is a subset of lineitem) — at 100x the input the exchange
-    # fans out wider instead of deepening 1/32 slices (VERDICT r4 #1)
-    NB = resolve_num_buckets(li)
-
     def tag_probe(t: pa.Table) -> pa.Table:
-        return tag_bucket(
-            t.append_column("__probe", pa.array(np.ones(t.num_rows, dtype=bool))),
-            "l_orderkey",
-            NB,
+        return t.append_column(
+            "__probe", pa.array(np.ones(t.num_rows, dtype=bool))
         )
 
     def tag_build(t: pa.Table) -> pa.Table:
-        cols = pa.table(
+        return pa.table(
             {
                 "l_orderkey": t["o_orderkey"],
                 "l_returnflag": pa.nulls(t.num_rows, pa.string()),
@@ -9110,9 +9109,8 @@ def q_bloom_prefilter_join(sf_dir: str):
                 "__probe": pa.array(np.zeros(t.num_rows, dtype=bool)),
             }
         )
-        return tag_bucket(cols, "l_orderkey", NB)
 
-    def verify(g: pa.Table) -> pa.Table:
+    def verify(g: pa.Table, _b: int) -> pa.Table:
         probe = g.filter(g["__probe"])
         build_keys = g.filter(pc.invert(g["__probe"]))["l_orderkey"]
         hit = probe.filter(pc.is_in(probe["l_orderkey"], value_set=build_keys))
@@ -9129,15 +9127,28 @@ def q_bloom_prefilter_join(sf_dir: str):
             }
         )
 
-    both = (
+    both = [
         li.map_batches(
             CachedEngineFn(Prefilter), batch_format="pyarrow", zero_copy_batch=True
-        )
-        .map_batches(tag_probe, batch_format="pyarrow")
-        .union(urgent.map_batches(tag_build, batch_format="pyarrow"))
-    )
+        ).map_batches(tag_probe, batch_format="pyarrow"),
+        urgent.map_batches(tag_build, batch_format="pyarrow"),
+    ]
+    # the bucket count tracks both sides' block count (resolve_num_buckets):
+    # at 100x the input the exchange fans out wider instead of deepening
+    # 1/32 slices (VERDICT r4 #1)
     df = grouped_agg(
-        both.groupby("__b").map_groups(verify, batch_format="pyarrow"),
+        bucket_exchange(
+            both,
+            "l_orderkey",
+            verify,
+            schema=pa.schema(
+                [
+                    ("l_returnflag", pa.string()),
+                    ("rev_e4", pa.int64()),
+                    ("n_items", pa.int64()),
+                ]
+            ),
+        ),
         ["l_returnflag"],
         {"rev_e4": ("rev_e4", "sum"), "n_items": ("n_items", "sum")},
     )
@@ -9217,7 +9228,7 @@ def q_customer_order_counts(sf_dir: str):
         return pa.table({"c_count": g["c_count"], "n_custs": g["one_sum"]})
 
     parts = bucketed_group_agg(
-        orders.union(cust),
+        [orders, cust],
         "ckey",
         [("n_ord", "sum"), ("is_cust", "sum")],
         post=hist,
@@ -9314,8 +9325,7 @@ def q_inverted_index(sf_dir: str):
     from etl_data_validation_kio_ray.dedup.ngram import gram_occurrences
     from etl_data_validation_kio_ray.pipelines.relational import (
         bucketed_group_agg,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     def _pairs(t: pa.Table) -> pa.Table:
@@ -9359,13 +9369,8 @@ def q_inverted_index(sf_dir: str):
     pr = ds.map_batches(
         CachedEngineFn(RarePairs), batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(pr)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "g", nb)
-
-    def postings(grp: pa.Table) -> pa.Table:
-        pdf = grp.drop_columns(["__b"]).to_pandas()
+    def postings(grp: pa.Table, _b: int) -> pa.Table:
+        pdf = grp.to_pandas()
         # numeric doc_id order (matches the twin's ORDER BY doc_id),
         # stringified only for the join
         pdf = pdf.sort_values(["g", "doc_id"], kind="mergesort")
@@ -9378,12 +9383,14 @@ def q_inverted_index(sf_dir: str):
         out["df"] = out["df"].astype("int64")
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    final = (
-        pr.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(postings, batch_format="pyarrow")
-        .to_pandas()
-    )
+    final = bucket_exchange(
+        pr,
+        "g",
+        postings,
+        schema=pa.schema(
+            [("g", pa.string()), ("df", pa.int64()), ("postings", pa.string())]
+        ),
+    ).to_pandas()
     final["df"] = final["df"].astype("int64")
     return final.sort_values("g").reset_index(drop=True)[
         ["g", "df", "postings"]
@@ -9409,10 +9416,7 @@ def q_source_token_entropy(sf_dir: str):
 
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     tok_dir = _token_table_dir(sf_dir)
     ds = rd.read_parquet(tok_dir, columns=["source", "tokens"])
@@ -9447,14 +9451,8 @@ def q_source_token_entropy(sf_dir: str):
     parts = ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "token", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
-        b = int(g["__b"][0].as_py())
+    def reduce_bucket(g: pa.Table, b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = pdf.groupby(["source", "token"], sort=True)["c"].sum()
         rows = []
         for s_name, sub in cnt.groupby(level=0, sort=True):
@@ -9471,13 +9469,19 @@ def q_source_token_entropy(sf_dir: str):
             }
         )
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values(["source", "b"])  # deterministic fsum order
-    )
+    pdf = bucket_exchange(
+        parts,
+        "token",
+        reduce_bucket,
+        schema=pa.schema(
+            [
+                ("b", pa.int64()),
+                ("source", pa.string()),
+                ("slc", pa.float64()),
+                ("n", pa.int64()),
+            ]
+        ),
+    ).to_pandas().sort_values(["source", "b"])  # deterministic fsum order
     rows = []
     for s_name, sub in pdf.groupby("source", sort=True):
         n = int(sub["n"].sum())
@@ -9505,9 +9509,7 @@ def q_id_islands_profile(sf_dir: str):
     min/max, island count, missing-id count, largest gap run."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     ev = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
@@ -9539,21 +9541,17 @@ def q_id_islands_profile(sf_dir: str):
             "an empty id space has no island profile"
         )
     mn, mx = int(mmdf["mn"].min()), int(mmdf["mx"].max())
-    nb = resolve_num_buckets(ids)
-    width = max(1, -(-(mx - mn + 1) // nb))
 
-    def tag(t: pa.Table) -> pa.Table:
-        v = t["id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "__b", pa.array(((v - mn) // width).astype(np.int64))
-        )
+    def id_range(t: pa.Table, nb: int) -> np.ndarray:
+        width = max(1, -(-(mx - mn + 1) // nb))
+        return (t["id"].to_numpy() - mn) // width
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
+    def reduce_bucket(g: pa.Table, b: int) -> pa.Table:
         v = np.unique(g["id"].to_numpy(zero_copy_only=False))
         d = np.diff(v)
         return pa.table(
             {
-                "b": pa.array([int(g["__b"][0].as_py())], pa.int64()),
+                "b": pa.array([b], pa.int64()),
                 "n_ids": pa.array([len(v)], pa.int64()),
                 "first_id": pa.array([int(v[0])], pa.int64()),
                 "last_id": pa.array([int(v[-1])], pa.int64()),
@@ -9567,9 +9565,24 @@ def q_id_islands_profile(sf_dir: str):
         )
 
     sm = (
-        ids.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ids,
+            id_range,
+            reduce_bucket,
+            schema=pa.schema(
+                [
+                    (c, pa.int64())
+                    for c in (
+                        "b",
+                        "n_ids",
+                        "first_id",
+                        "last_id",
+                        "starts_in",
+                        "max_gap_in",
+                    )
+                ]
+            ),
+        )
         .to_pandas()
         .sort_values("b")
     )
@@ -9611,10 +9624,7 @@ def q_late_shipment_priority(sf_dir: str):
     compare as raw int64 microseconds — identical on both engines."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     li = rd.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -9657,17 +9667,13 @@ def q_late_shipment_priority(sf_dir: str):
             }
         )
 
-    both = li.map_batches(
-        pad_line, batch_format="pyarrow", zero_copy_batch=True
-    ).union(od.map_batches(pad_order, batch_format="pyarrow"))
-    nb = resolve_num_buckets(both)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "okey", nb)
-
+    both = [
+        li.map_batches(pad_line, batch_format="pyarrow", zero_copy_batch=True),
+        od.map_batches(pad_order, batch_format="pyarrow"),
+    ]
     cutoff = np.int64(LATE_SHIP_DAYS) * _US_PER_DAY
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         is_ord = pc.is_valid(g["odate_us"])
         orders = g.filter(is_ord)
         lines = g.filter(pc.invert(is_ord))
@@ -9697,12 +9703,14 @@ def q_late_shipment_priority(sf_dir: str):
         )
 
     # partials: <= num_buckets x |rflag| x 2 rows — tiny driver merge
-    pdf = (
-        both.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        both,
+        "okey",
+        reduce_bucket,
+        schema=pa.schema(
+            [("l_returnflag", pa.string())] + [(c, pa.int64()) for c in ("hi", "n")]
+        ),
+    ).to_pandas()
     agg = pdf.groupby(["l_returnflag", "hi"], sort=True)["n"].sum()
     flags = sorted(pdf["l_returnflag"].unique())
     rows = [
@@ -9740,8 +9748,7 @@ def q_sole_late_supplier(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         grouped_agg,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     li = rd.read_parquet(
@@ -9780,17 +9787,13 @@ def q_sole_late_supplier(sf_dir: str):
             }
         )
 
-    both = li.map_batches(
-        pad_line, batch_format="pyarrow", zero_copy_batch=True
-    ).union(od.map_batches(pad_order, batch_format="pyarrow"))
-    nb = resolve_num_buckets(both)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "okey", nb)
-
+    both = [
+        li.map_batches(pad_line, batch_format="pyarrow", zero_copy_batch=True),
+        od.map_batches(pad_order, batch_format="pyarrow"),
+    ]
     cutoff = np.int64(Q21_LATE_DAYS) * _US_PER_DAY
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         is_ord = pc.is_valid(g["odate_us"])
         orders = g.filter(is_ord)
         lines = g.filter(pc.invert(is_ord))
@@ -9831,10 +9834,11 @@ def q_sole_late_supplier(sf_dir: str):
             }
         )
 
-    waits = (
-        both.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    waits = bucket_exchange(
+        both,
+        "okey",
+        reduce_bucket,
+        schema=pa.schema([("suppkey", pa.int64()), ("one", pa.int64())]),
     )
     counts = grouped_agg(waits, ["suppkey"], {"numwait": ("one", "sum")})
     supp = pq.read_table(
@@ -9940,10 +9944,7 @@ def q_sorted_neighborhood_pairs(sf_dir: str):
     import ray.data as rd
 
     from etl_data_validation_kio_ray.dedup.editdist import levenshtein
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     docs = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -9962,13 +9963,8 @@ def q_sorted_neighborhood_pairs(sf_dir: str):
     proj_ds = docs.map_batches(
         proj, batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(proj_ds)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "blk", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        df = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        df = g.to_pandas()
         df = df.sort_values(["blk", "tx", "doc_id"], kind="mergesort")
         same = df["blk"].to_numpy()[1:] == df["blk"].to_numpy()[:-1]
         ida = df["doc_id"].to_numpy()[:-1][same]
@@ -9993,12 +9989,12 @@ def q_sorted_neighborhood_pairs(sf_dir: str):
             }
         )
 
-    out = (
-        proj_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    out = bucket_exchange(
+        proj_ds,
+        "blk",
+        reduce_bucket,
+        schema=pa.schema([(c, pa.int64()) for c in ("id_a", "id_b", "lev_dist")]),
+    ).to_pandas()
     return out.sort_values(["id_a", "id_b"], kind="mergesort").reset_index(
         drop=True
     )
@@ -10016,22 +10012,14 @@ def q_compound_key_unique(sf_dir: str):
     make the violation set non-trivial at every SF."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     li = rd.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_linenumber"],
     )
-    nb = resolve_num_buckets(li)
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "l_orderkey", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         agg = g.group_by(["l_orderkey", "l_linenumber"]).aggregate(
             [("l_orderkey", "count")]
         )
@@ -10046,14 +10034,22 @@ def q_compound_key_unique(sf_dir: str):
             }
         )
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        collect_sorted,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import collect_sorted
 
     out = collect_sorted(
-        li.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow"),
+        bucket_exchange(
+            li,
+            "l_orderkey",
+            reduce_bucket,
+            schema=pa.schema(
+                [
+                    ("rule_id", pa.string()),
+                    ("l_orderkey", pa.int64()),
+                    ("l_linenumber", pa.int32()),
+                    ("dup_count", pa.int64()),
+                ]
+            ),
+        ),
         ["l_orderkey", "l_linenumber"],
     )
     return out.reset_index(drop=True)
@@ -10083,8 +10079,7 @@ def q_vocab_drift(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         grouped_agg,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     docs = rd.read_parquet(
@@ -10127,14 +10122,8 @@ def q_vocab_drift(sf_dir: str):
     totals = {s: int(v) for s, v in zip(tot_df["source"], tot_df["t"])}
     srcs = sorted(totals)
     pair_list = list(combinations(srcs, 2))
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "word", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        b = int(g["__b"][0].as_py())
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, b: int) -> pa.Table:
+        pdf = g.to_pandas()
         mat = (
             pdf.groupby(["word", "source"], sort=True)["c"]
             .sum()
@@ -10172,13 +10161,21 @@ def q_vocab_drift(sf_dir: str):
             }
         )
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values(["source_a", "source_b", "b"])  # deterministic fsum
-    )
+    pdf = bucket_exchange(
+        parts,
+        "word",
+        reduce_bucket,
+        schema=pa.schema(
+            [
+                ("b", pa.int64()),
+                ("source_a", pa.string()),
+                ("source_b", pa.string()),
+                ("term", pa.float64()),
+                ("n_shared", pa.int64()),
+                ("n_onesided", pa.int64()),
+            ]
+        ),
+    ).to_pandas().sort_values(["source_a", "source_b", "b"])  # deterministic fsum
     rows = []
     for (a, bsrc), sub in pdf.groupby(["source_a", "source_b"], sort=True):
         shared = int(sub["n_shared"].sum())
@@ -10422,10 +10419,7 @@ def q_bulk_part_suppliers(sf_dir: str):
 
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     part = pq.read_table(
         os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_name"]
@@ -10458,14 +10452,9 @@ def q_bulk_part_suppliers(sf_dir: str):
     parts_ds = li.map_batches(
         proj, batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(parts_ds)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "supp", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         agg = (
-            g.drop_columns(["__b"])
+            g
             .group_by(["supp", "part"])
             .aggregate([("qc", "sum")])
         )
@@ -10473,12 +10462,12 @@ def q_bulk_part_suppliers(sf_dir: str):
         supp = np.unique(agg["supp"].to_numpy(zero_copy_only=False))
         return pa.table({"s_suppkey": pa.array(supp, pa.int64())})
 
-    qual = (
-        parts_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    qual = bucket_exchange(
+        parts_ds,
+        "supp",
+        reduce_bucket,
+        schema=pa.schema([("s_suppkey", pa.int64())]),
+    ).to_pandas()
     supp = pq.read_table(
         os.path.join(sf_dir, "supplier.parquet"),
         columns=["s_suppkey", "s_name"],
@@ -10626,10 +10615,7 @@ def q_part_best_supplier(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     part = pq.read_table(
         os.path.join(sf_dir, "part.parquet"),
@@ -10679,14 +10665,9 @@ def q_part_best_supplier(sf_dir: str):
     ).map_batches(
         CachedEngineFn(PairPartial), batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(pairs)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "part", nb)
-
-    def best_in_bucket(g: pa.Table) -> pa.Table:
+    def best_in_bucket(g: pa.Table, _b: int) -> pa.Table:
         skeys_l, acct_l = ray.get(sref)
-        d = g.drop_columns(["__b"]).group_by(["part", "supp"]).aggregate([])
+        d = g.group_by(["part", "supp"]).aggregate([])
         p = d["part"].to_numpy(zero_copy_only=False)
         s = d["supp"].to_numpy(zero_copy_only=False)
         a = pc.take(acct_l, pc.index_in(d["supp"], skeys_l)).to_numpy(
@@ -10705,12 +10686,14 @@ def q_part_best_supplier(sf_dir: str):
             }
         )
 
-    best = (
-        pairs.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(best_in_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    best = bucket_exchange(
+        pairs,
+        "part",
+        best_in_bucket,
+        schema=pa.schema(
+            [(c, pa.int64()) for c in ("p_partkey", "s_suppkey", "acct_c")]
+        ),
+    ).to_pandas()
     pnames = qual.select(["p_partkey", "p_name"]).to_pandas()
     pnames["p_partkey"] = pnames["p_partkey"].astype("int64")
     snames = supp.select(["s_suppkey", "s_name"]).to_pandas()
@@ -10920,15 +10903,15 @@ def q_supplier_pagerank(sf_dir: str):
     Scale shape: edges dedup + per-part degree in ONE hash-bucket
     exchange on the part key (a part's pairs all land in its bucket),
     then the augmented narrow edge table (p, s, deg_p — 24 B/edge)
-    MATERIALIZES once in the object store; each round is one
-    groupby-bucket pass over it with the SUPPLIER state broadcast
-    (`ray.put` of (key, rank, degree) arrays — the documented
+    MATERIALIZES once in the object store, one row of edge lists per
+    bucket; each round is one map over those rows with the SUPPLIER
+    state broadcast (`ray.put` of (key, rank, degree) arrays — the documented
     partitioning assumption: one side of the bipartite graph is
     dimension-sized; a general graph would keep both sides bucketed
     like dedup/cluster.connected_components). In-bucket both updates
     happen vectorized: part ranks from broadcast supplier ranks, then
-    per-edge contributions fold to per-bucket supplier partials, so
-    only #buckets × #suppliers partial rows leave the exchange.
+    per-edge contributions fold to per-batch supplier partials, so
+    only #batches × #suppliers partial rows reach the driver.
     Overflow: rank ≤ PR_TOTAL = 1e12, rank*85 ≤ 8.5e13 ≪ 2^63.
     Reference analog: iterative mart refresh over staged facts
     (/root/reference/src/app2/experiments/run.py:490-501)."""
@@ -10936,9 +10919,8 @@ def q_supplier_pagerank(sf_dir: str):
     import ray.data as rd
 
     from etl_data_validation_kio_ray.pipelines.relational import (
+        bucket_exchange,
         grouped_agg,
-        resolve_num_buckets,
-        tag_bucket,
     )
 
     li = rd.read_parquet(
@@ -10959,41 +10941,39 @@ def q_supplier_pagerank(sf_dir: str):
         )
 
     pairs = li.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(pairs)
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "p", nb)
+    EDGE_COLS = ("p", "s", "deg_p")
+    bucket_schema = pa.schema(
+        [(c, pa.list_(pa.int64())) for c in EDGE_COLS] + [("n_parts", pa.int64())]
+    )
 
-    def dedup_bucket(g: pa.Table) -> pa.Table:
-        d = g.drop_columns(["__b"]).group_by(["p", "s"]).aggregate([])
+    def dedup_bucket(g: pa.Table, _b: int) -> pa.Table:
+        # ONE row per bucket: its edges as lists, so every row (and so
+        # every batch of rows) holds whole parts and each round is a
+        # plain map over the rows, with no exchange
+        d = g.group_by(["p", "s"]).aggregate([])
         deg = d.group_by("p").aggregate([("s", "count")])
         dp = pc.take(
             pc.cast(deg["s_count"], pa.int64()), pc.index_in(d["p"], deg["p"])
         )
-        p_np = d["p"].to_numpy(zero_copy_only=False)
-        firstp = np.zeros(len(p_np), dtype=np.int64)
-        firstp[np.unique(p_np, return_index=True)[1]] = 1
-        # keep the bucket tag: each round re-groups on it without
-        # re-hashing the key
-        b = g["__b"][0].as_py() if g.num_rows else 0
-        return pa.table(
-            {
-                "p": d["p"],
-                "s": d["s"],
-                "deg_p": dp,
-                "firstp": pa.array(firstp),
-                "__b": pa.array(np.full(len(p_np), b, dtype=np.int32)),
-            }
-        )
+        edges = pa.table({"p": d["p"], "s": d["s"], "deg_p": dp}).combine_chunks()
+        offsets = pa.array([0, d.num_rows], pa.int32())
+        lists = [pa.ListArray.from_arrays(offsets, edges[c].chunk(0)) for c in EDGE_COLS]
+        n_parts = pa.array([deg.num_rows], pa.int64())
+        return pa.table(lists + [n_parts], schema=bucket_schema)
 
-    edges = (
-        pairs.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(dedup_bucket, batch_format="pyarrow")
-        .materialize()
+    def flat(t: pa.Table) -> pa.Table:
+        return pa.table({c: pc.list_flatten(t[c]) for c in EDGE_COLS})
+
+    by_bucket = bucket_exchange(
+        pairs, "p", dedup_bucket, schema=bucket_schema
+    ).materialize()
+    n_parts = int(by_bucket.sum("n_parts"))
+    degs_df = grouped_agg(
+        by_bucket.map_batches(flat, batch_format="pyarrow"),
+        ["s"],
+        {"deg_s": ("p", "count")},
     )
-    n_parts = int(edges.sum("firstp"))
-    degs_df = grouped_agg(edges, ["s"], {"deg_s": ("p", "count")})
     n_supp = len(degs_df)
     n = n_parts + n_supp
     base = (PR_TOTAL * 15) // (100 * n)
@@ -11004,7 +10984,8 @@ def q_supplier_pagerank(sf_dir: str):
     for _ in range(PR_ROUNDS):
         ref = ray.put((s_keys, r_s.copy(), deg_s.copy()))
 
-        def round_bucket(g: pa.Table, _ref=ref, _base=base) -> pa.Table:
+        def round_bucket(t: pa.Table, _ref=ref, _base=base) -> pa.Table:
+            g = flat(t)
             sk, rs, dgs = ray.get(_ref)
             si = pc.index_in(g["s"], sk).to_numpy(zero_copy_only=False)
             contrib_in = (rs[si] * 85) // (100 * dgs[si])
@@ -11026,11 +11007,9 @@ def q_supplier_pagerank(sf_dir: str):
             )
             return pa.table({"s": o["s"], "partial": o["partial_sum"]})
 
-        partials = (
-            edges.groupby("__b")
-            .map_groups(round_bucket, batch_format="pyarrow")
-            .to_pandas()
-        )
+        partials = by_bucket.map_batches(
+            round_bucket, batch_format="pyarrow"
+        ).to_pandas()
         summed = partials.groupby("s", sort=False)["partial"].sum()
         r_s = (
             base + summed.reindex(s_keys.to_numpy(), fill_value=0).to_numpy()
@@ -11630,10 +11609,7 @@ def q_order_price_proration(sf_dir: str):
     (/root/reference/src/app2/validators/dds/rules_suite/points_formula.py:15-49)."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     li = rd.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -11673,12 +11649,17 @@ def q_order_price_proration(sf_dir: str):
             }
         )
 
-    both = li.map_batches(
-        li_side, batch_format="pyarrow", zero_copy_batch=True
-    ).union(orders.map_batches(o_side, batch_format="pyarrow", zero_copy_batch=True))
-    nb = resolve_num_buckets(both)
+    both = [
+        li.map_batches(li_side, batch_format="pyarrow", zero_copy_batch=True),
+        orders.map_batches(o_side, batch_format="pyarrow", zero_copy_batch=True),
+    ]
 
-    def bucket_prorate(g: pa.Table) -> pa.Table:
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("l_orderkey", "l_linenumber", "prorated_c")]
+    )
+
+
+    def bucket_prorate(g: pa.Table, _b: int) -> pa.Table:
         tot_mask = pc.is_valid(g["tot"]).to_numpy(zero_copy_only=False)
         ok = g["okey"].to_numpy(zero_copy_only=False).astype(np.int64)
         o_keys = ok[tot_mask]
@@ -11696,13 +11677,7 @@ def q_order_price_proration(sf_dir: str):
         ok_hit = (pos < len(o_keys)) & (o_keys[np.minimum(pos, len(o_keys) - 1)] == ik)
         ik, ln, ep, pos = ik[ok_hit], ln[ok_hit], ep[ok_hit], pos[ok_hit]
         if not len(ik):
-            return pa.table(
-                {
-                    "l_orderkey": pa.array([], pa.int64()),
-                    "l_linenumber": pa.array([], pa.int64()),
-                    "prorated_c": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         starts = np.flatnonzero(np.r_[True, ik[1:] != ik[:-1]])
         seg_sum = np.add.reduceat(ep, starts)
         seg_id = np.cumsum(np.r_[0, (ik[1:] != ik[:-1]).astype(np.int64)])
@@ -11724,12 +11699,12 @@ def q_order_price_proration(sf_dir: str):
             }
         )
 
-    res = (
-        both.map_batches(lambda t: tag_bucket(t, "okey", nb), batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_prorate, batch_format="pyarrow")
-        .to_pandas()
-    )
+    res = bucket_exchange(
+        both,
+        "okey",
+        bucket_prorate,
+        schema=out_schema,
+    ).to_pandas()
     return (
         res.sort_values(["l_orderkey", "l_linenumber"], kind="mergesort")
         .reset_index(drop=True)
@@ -11813,10 +11788,7 @@ def q_rapid_reorder_pairs(sf_dir: str):
     (/root/reference/src/app2/validators/stg/checks.py:51-84)."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     orders = rd.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -11837,9 +11809,8 @@ def q_rapid_reorder_pairs(sf_dir: str):
         )
 
     ds = orders.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(ds)
 
-    def bucket_pairs(g: pa.Table) -> pa.Table:
+    def bucket_pairs(g: pa.Table, _b: int) -> pa.Table:
         ck = g["ck"].to_numpy(zero_copy_only=False).astype(np.int64)
         ok = g["ok"].to_numpy(zero_copy_only=False).astype(np.int64)
         d = g["d"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -11866,12 +11837,14 @@ def q_rapid_reorder_pairs(sf_dir: str):
             }
         )
 
-    res = (
-        ds.map_batches(lambda t: tag_bucket(t, "ck", nb), batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-        .to_pandas()
-    )
+    res = bucket_exchange(
+        ds,
+        "ck",
+        bucket_pairs,
+        schema=pa.schema(
+            [(c, pa.int64()) for c in ("o_custkey", "ok1", "ok2", "gap_days")]
+        ),
+    ).to_pandas()
     cols = ["o_custkey", "ok1", "ok2", "gap_days"]
     if res.empty:  # all-empty buckets lose the schema through to_pandas
         return pd.DataFrame({c: pd.Series([], dtype="int64") for c in cols})
@@ -11897,8 +11870,7 @@ def q_supplier_ship_coverage(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         grouped_agg,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     li = rd.read_parquet(
@@ -11914,17 +11886,13 @@ def q_supplier_ship_coverage(sf_dir: str):
         return pa.table({"sk": pc.cast(t["l_suppkey"], pa.int64()), "s": d})
 
     ds = li.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(ds)
 
-    def bucket_sweep(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table(
-                {
-                    "s_suppkey": pa.array([], pa.int64()),
-                    "covered_days": pa.array([], pa.int64()),
-                    "n_intervals": pa.array([], pa.int64()),
-                }
-            )
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("s_suppkey", "covered_days", "n_intervals")]
+    )
+
+
+    def bucket_sweep(g: pa.Table, _b: int) -> pa.Table:
         sk = g["sk"].to_numpy(zero_copy_only=False).astype(np.int64)
         s = g["s"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((s, sk))
@@ -11958,12 +11926,12 @@ def q_supplier_ship_coverage(sf_dir: str):
             }
         )
 
-    res = (
-        ds.map_batches(lambda t: tag_bucket(t, "sk", nb), batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_sweep, batch_format="pyarrow")
-        .to_pandas()
-    )
+    res = bucket_exchange(
+        ds,
+        "sk",
+        bucket_sweep,
+        schema=out_schema,
+    ).to_pandas()
     cols = ("s_suppkey", "covered_days", "n_intervals")
     if res.empty:  # all-empty buckets lose the schema through to_pandas
         return pd.DataFrame({c: pd.Series([], dtype="int64") for c in cols})
@@ -11987,8 +11955,7 @@ def q_acctbal_imputation(sf_dir: str):
     import ray.data as rd
 
     from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     cust = rd.read_parquet(
@@ -12008,7 +11975,6 @@ def q_acctbal_imputation(sf_dir: str):
         )
 
     ds = cust.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(ds)
 
     def present_only(t: pa.Table) -> pa.Table:
         # ck % 7 != 0 via subtract/multiply/divide (integer pc.divide)
@@ -12021,7 +11987,7 @@ def q_acctbal_imputation(sf_dir: str):
             )
         )
 
-    def bucket_median(g: pa.Table) -> pa.Table:
+    def bucket_median(g: pa.Table, _b: int) -> pa.Table:
         nk = g["nk"].to_numpy(zero_copy_only=False).astype(np.int64)
         ab = g["ab_c"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((ab, nk))
@@ -12033,13 +11999,12 @@ def q_acctbal_imputation(sf_dir: str):
             {"nk": pa.array(nk[starts]), "median_c": pa.array(ab[mids])}
         )
 
-    med = (
-        ds.map_batches(present_only, batch_format="pyarrow")
-        .map_batches(lambda t: tag_bucket(t, "nk", nb), batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_median, batch_format="pyarrow")
-        .to_pandas()
-    )
+    med = bucket_exchange(
+        ds.map_batches(present_only, batch_format="pyarrow"),
+        "nk",
+        bucket_median,
+        schema=pa.schema([("nk", pa.int64()), ("median_c", pa.int64())]),
+    ).to_pandas()
     med_map = dict(zip(med["nk"].astype("int64"), med["median_c"].astype("int64")))
 
     def missing_only(t: pa.Table) -> pa.Table:
@@ -12530,21 +12495,23 @@ def q_window_dedup_events(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         collect_sorted,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     ev = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "ts", "user_id", "event_type"],
     )
-    nb = resolve_num_buckets(ev)
+    out_schema = pa.schema(
+        [
+            ("event_id", pa.int64()),
+            ("user_id", pa.int64()),
+            ("event_type", pa.string()),
+            ("gap_us", pa.int64()),
+        ]
+    )
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "user_id", nb)
-
-    def bucket_dups(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def bucket_dups(g: pa.Table, _b: int) -> pa.Table:
         g = g.take(
             pc.sort_indices(
                 g,
@@ -12557,14 +12524,7 @@ def q_window_dedup_events(sf_dir: str):
             )
         )
         if g.num_rows < 2:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "event_type": pa.array([], pa.string()),
-                    "gap_us": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         uid = g["user_id"].to_numpy(zero_copy_only=False)
         et = g["event_type"].to_numpy(zero_copy_only=False)
         tsv = g["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -12586,9 +12546,12 @@ def q_window_dedup_events(sf_dir: str):
         )
 
     out = collect_sorted(
-        ev.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(bucket_dups, batch_format="pyarrow"),
+        bucket_exchange(
+            ev,
+            "user_id",
+            bucket_dups,
+            schema=out_schema,
+        ),
         ["event_id"],
     )
     for c in ("event_id", "user_id", "gap_us"):
@@ -12940,20 +12903,11 @@ def q_kl_by_source(sf_dir: str):
     summation order only, ~1e-10 ≪ the 1e-6 quantum)."""
     import math
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     parts = _source_token_counts(sf_dir)
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "token", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
-        b = int(g["__b"][0].as_py())
+    def reduce_bucket(g: pa.Table, b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = (
             pdf.groupby(["source", "token"], sort=True)["c"]
             .sum()
@@ -12970,13 +12924,19 @@ def q_kl_by_source(sf_dir: str):
         out.insert(0, "b", np.int64(b))
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values(["source", "b"])  # deterministic fsum order
-    )
+    pdf = bucket_exchange(
+        parts,
+        "token",
+        reduce_bucket,
+        schema=pa.schema(
+            [
+                ("b", pa.int64()),
+                ("source", pa.string()),
+                ("term", pa.float64()),
+                ("n", pa.int64()),
+            ]
+        ),
+    ).to_pandas().sort_values(["source", "b"])  # deterministic fsum order
     n_total = int(pdf["n"].sum())
     rows = []
     for s_name, sub in pdf.groupby("source", sort=True):
@@ -13005,19 +12965,11 @@ def q_rare_token_share(sf_dir: str):
     is the floor division rare·1e6 // total — HUGEINT on the DuckDB
     twin (both operands non-negative, so // truncation == floor on
     both engines)."""
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     parts = _source_token_counts(sf_dir)
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "token", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = (
             pdf.groupby(["source", "token"], sort=True)["c"]
             .sum()
@@ -13034,12 +12986,14 @@ def q_rare_token_share(sf_dir: str):
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "token",
+        reduce_bucket,
+        schema=pa.schema(
+            [("source", pa.string())] + [(c, pa.int64()) for c in ("rare", "tot")]
+        ),
+    ).to_pandas()
     rows = []
     for s_name, sub in pdf.groupby("source", sort=True):
         rare = int(sub["rare"].sum())
@@ -13289,10 +13243,7 @@ def q_bigram_novelty(sf_dir: str):
     tiny driver fold.  No shuffle carries a row per occurrence."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     docs_max = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
@@ -13342,13 +13293,8 @@ def q_bigram_novelty(sf_dir: str):
         )
 
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "gram", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = (
             pdf.groupby(["gram", "shard"], sort=True)["c"].sum().reset_index()
         )
@@ -13361,12 +13307,12 @@ def q_bigram_novelty(sf_dir: str):
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "gram",
+        reduce_bucket,
+        schema=pa.schema([(c, pa.int64()) for c in ("shard", "novel", "occ")]),
+    ).to_pandas()
     if pdf.empty:  # no doc has >= 2 tokens: empty frame, stable schema
         return pd.DataFrame(
             {
@@ -13461,13 +13407,10 @@ def q_nation_balance_outer(sf_dir: str):
             }
         )
 
-    both = cust.map_batches(
-        cust_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        supp.map_batches(
-            supp_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
+    both = [
+        cust.map_batches(cust_partial, batch_format="pyarrow", zero_copy_batch=True),
+        supp.map_batches(supp_partial, batch_format="pyarrow", zero_copy_batch=True),
+    ]
     pdf = bucketed_group_agg(
         both,
         "nationkey",
@@ -13512,8 +13455,8 @@ def q_bigram_lm_scores(sf_dir: str):
     import ray.data as rd
 
     from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
+        key_buckets,
     )
 
     tok_dir = _token_table_dir(sf_dir)
@@ -13554,19 +13497,13 @@ def q_bigram_lm_scores(sf_dir: str):
         )
 
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(parts)
 
-    def tag(t: pa.Table) -> pa.Table:
+    def left_token(t: pa.Table, nb: int) -> np.ndarray:
         # bucket by the LEFT token so c(ab) and c(a.) co-locate
-        t = t.append_column(
-            "left_tok", pc.cast(pc.divide(t["gram"], int(vocab)), pa.int64())
-        )
-        t = tag_bucket(t, "left_tok", nb)
-        return t.drop_columns(["left_tok"])
+        return key_buckets(pc.cast(pc.divide(t["gram"], int(vocab)), pa.int64()), nb)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
-        b = int(g["__b"][0].as_py())
+    def reduce_bucket(g: pa.Table, b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = (
             pdf.groupby(["source", "gram"], sort=True)["c"].sum().reset_index()
         )
@@ -13590,9 +13527,19 @@ def q_bigram_lm_scores(sf_dir: str):
         return pa.Table.from_pandas(out, preserve_index=False)
 
     pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            parts,
+            left_token,
+            reduce_bucket,
+            schema=pa.schema(
+                [
+                    ("b", pa.int64()),
+                    ("source", pa.string()),
+                    ("term", pa.float64()),
+                    ("n", pa.int64()),
+                ]
+            ),
+        )
         .to_pandas()
         .sort_values(["source", "b"])  # deterministic fsum order
     )
@@ -13624,8 +13571,7 @@ def q_rolling_median3(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         collect_sorted,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     ev = rd.read_parquet(
@@ -13647,25 +13593,19 @@ def q_rolling_median3(sf_dir: str):
         )
 
     proj_ds = ev.map_batches(proj, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(proj_ds, floor=16)
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "event_id", "med3_cents")]
+    )
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "user_id", nb)
 
-    def med3_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def med3_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         pdf = pdf.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         u = pdf["user_id"].to_numpy(np.int64)
         v = pdf["c"].to_numpy(np.int64)
         n = len(pdf)
         if n < 3:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "event_id": pa.array([], pa.int64()),
-                    "med3_cents": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         a, b, c = v[:-2], v[1:-1], v[2:]
         med = (
             a + b + c
@@ -13684,10 +13624,11 @@ def q_rolling_median3(sf_dir: str):
             }
         )
 
-    out = (
-        proj_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(med3_bucket, batch_format="pyarrow")
+    out = bucket_exchange(
+        proj_ds,
+        "user_id",
+        med3_bucket,
+        schema=out_schema,
     )
     res = collect_sorted(out, ["user_id", "event_id"])
     return res[["user_id", "event_id", "med3_cents"]].astype(
@@ -13839,8 +13780,7 @@ def q_interp_fill_daily(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         collect_sorted,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     DAY_US = 86_400_000_000
@@ -13875,23 +13815,16 @@ def q_interp_fill_daily(sf_dir: str):
         )
 
     parts = ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(parts, floor=16)
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "day_idx", "cents", "interpolated")]
+    )
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "user_id", nb)
 
-    def fill_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def fill_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = pdf.groupby(["user_id", "d"], sort=True)["c"].sum().reset_index()
         if cnt.empty:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "day_idx": pa.array([], pa.int64()),
-                    "cents": pa.array([], pa.int64()),
-                    "interpolated": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         users = cnt["user_id"].to_numpy(np.int64)
         days = cnt["d"].to_numpy(np.int64)
         vals = cnt["c"].to_numpy(np.int64)
@@ -13935,10 +13868,11 @@ def q_interp_fill_daily(sf_dir: str):
             }
         )
 
-    out = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(fill_bucket, batch_format="pyarrow")
+    out = bucket_exchange(
+        parts,
+        "user_id",
+        fill_bucket,
+        schema=out_schema,
     )
     res = collect_sorted(out, ["user_id", "day_idx"])
     return res[["user_id", "day_idx", "cents", "interpolated"]].astype(
@@ -13973,8 +13907,7 @@ def q_linear_attribution(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         collect_sorted,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     ev = rd.read_parquet(
@@ -14010,11 +13943,6 @@ def q_linear_attribution(sf_dir: str):
         )
 
     proj = ev.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(proj, floor=16)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "user_id", nb)
-
     empty = pa.table(
         {
             "user_id": pa.array([], pa.int64()),
@@ -14023,8 +13951,12 @@ def q_linear_attribution(sf_dir: str):
         }
     )
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "event_id", "credit_cents")]
+    )
+
+
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         users = g["user_id"].to_numpy(zero_copy_only=False)
         if len(users) == 0:
             return empty
@@ -14079,10 +14011,11 @@ def q_linear_attribution(sf_dir: str):
             }
         )
 
-    out = (
-        proj.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    out = bucket_exchange(
+        proj,
+        "user_id",
+        reduce_bucket,
+        schema=out_schema,
     )
     res = collect_sorted(out, ["user_id", "event_id"])
     return res[["user_id", "event_id", "credit_cents"]].astype(
@@ -14381,8 +14314,7 @@ def q_rolling_distinct_types(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         collect_sorted,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     W = np.int64(24 * 3600 * 1_000_000)
@@ -14407,11 +14339,6 @@ def q_rolling_distinct_types(sf_dir: str):
         )
 
     proj = ev.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(proj, floor=16)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "user_id", nb)
-
     empty = pa.table(
         {
             "user_id": pa.array([], pa.int64()),
@@ -14420,8 +14347,12 @@ def q_rolling_distinct_types(sf_dir: str):
         }
     )
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "event_id", "distinct_types_24h")]
+    )
+
+
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         if g.num_rows == 0:
             return empty
         users = g["user_id"].to_numpy(zero_copy_only=False)
@@ -14486,10 +14417,11 @@ def q_rolling_distinct_types(sf_dir: str):
             }
         )
 
-    out = (
-        proj.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    out = bucket_exchange(
+        proj,
+        "user_id",
+        reduce_bucket,
+        schema=out_schema,
     )
     res = collect_sorted(out, ["user_id", "event_id"])
     return res[["user_id", "event_id", "distinct_types_24h"]].astype(
@@ -14507,10 +14439,7 @@ def q_selfjoin_size(sf_dir: str):
     locally); #buckets × |types| int64 partials reach the driver."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     ev = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
@@ -14539,13 +14468,8 @@ def q_selfjoin_size(sf_dir: str):
         )
 
     parts = ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "user_id", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = (
             pdf.groupby(["event_type", "user_id"], sort=True)["c"]
             .sum()
@@ -14559,12 +14483,19 @@ def q_selfjoin_size(sf_dir: str):
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "user_id",
+        reduce_bucket,
+        schema=pa.schema(
+            [
+                ("event_type", pa.string()),
+                ("n", pa.int64()),
+                ("users", pa.int64()),
+                ("f2", pa.int64()),
+            ]
+        ),
+    ).to_pandas()
     rows = []
     for et, sub in pdf.groupby("event_type", sort=True):
         rows.append(
@@ -14863,10 +14794,7 @@ def q_tv_distance_by_source(sf_dir: str):
     int64 bound: max c_st·N must stay < 2⁶² — asserted loudly; at
     10¹²-token scale the same statistic runs with counts pre-scaled
     to a 2⁻²⁰ grid (documented cap, not silent)."""
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     parts = _source_token_counts(sf_dir)
     totals = (
@@ -14885,14 +14813,8 @@ def q_tv_distance_by_source(sf_dir: str):
             "tv_distance_by_source: c*N exceeds the int64 bound — "
             "pre-scale counts before the exchange at this corpus size"
         )
-
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "token", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = (
             pdf.groupby(["source", "token"], sort=True)["c"]
             .sum()
@@ -14912,12 +14834,14 @@ def q_tv_distance_by_source(sf_dir: str):
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "token",
+        reduce_bucket,
+        schema=pa.schema(
+            [("source", pa.string()), ("present", pa.int64()), ("covered", pa.int64())]
+        ),
+    ).to_pandas()
     rows = []
     # absent-token mass per source: Σ_{t∉s} C_t = N − Σ_{t∈s} C_t
     # (each token lives in exactly ONE bucket, so summing `covered`
@@ -14950,10 +14874,7 @@ def q_overrepresented_tokens(sf_dir: str):
     each bucket emits its LOCAL top-K per source (K·|sources| rows),
     the driver merges top-K of top-Ks — exact because a global top-K
     row is necessarily a local top-K row in its own bucket."""
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     parts = _source_token_counts(sf_dir)
     totals = (
@@ -14966,14 +14887,13 @@ def q_overrepresented_tokens(sf_dir: str):
     )
     n_s = {s: int(c) for s, c in zip(totals["source"], totals["sum(c)"])}
     n_total = sum(n_s.values())
+    out_schema = pa.schema(
+        [("source", pa.string())] + [(c, pa.int64()) for c in ("token", "c", "dev")]
+    )
 
-    nb = resolve_num_buckets(parts)
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "token", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = (
             pdf.groupby(["source", "token"], sort=True)["c"]
             .sum()
@@ -14985,14 +14905,7 @@ def q_overrepresented_tokens(sf_dir: str):
         cnt["dev"] = c * np.int64(n_total) - ct * ns_vec
         cnt = cnt[cnt["dev"] > 0]
         if cnt.empty:  # single-source bucket: every deviation is 0
-            return pa.table(
-                {
-                    "source": pa.array([], pa.string()),
-                    "token": pa.array([], pa.int64()),
-                    "c": pa.array([], pa.int64()),
-                    "dev": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         top = (
             cnt.sort_values(
                 ["source", "dev", "token"], ascending=[True, False, True]
@@ -15004,12 +14917,12 @@ def q_overrepresented_tokens(sf_dir: str):
             top[["source", "token", "c", "dev"]], preserve_index=False
         )
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "token",
+        reduce_bucket,
+        schema=out_schema,
+    ).to_pandas()
     if pdf.empty or "source" not in pdf.columns:
         return pd.DataFrame(
             {
@@ -15078,31 +14991,26 @@ def q_customer_value_skyline(sf_dir: str):
 
     # complete each customer's aggregate BEFORE the skyline: partials
     # for one customer must meet, so bucket the per-batch partials
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     parts = orders.map_batches(
         pre, batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "o_custkey", nb)
-
-    def finish_bucket(g: pa.Table) -> pa.Table:
+    def finish_bucket(g: pa.Table, _b: int) -> pa.Table:
         out = (
-            g.drop_columns(["__b"])
+            g
             .group_by("o_custkey")
             .aggregate([("spend_c", "sum"), ("n_orders", "sum")])
         )
         return out.rename_columns(["o_custkey", "spend_c", "n_orders"])
 
-    agg = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(finish_bucket, batch_format="pyarrow")
+    agg = bucket_exchange(
+        parts,
+        "o_custkey",
+        finish_bucket,
+        schema=pa.schema(
+            [(c, pa.int64()) for c in ("o_custkey", "spend_c", "n_orders")]
+        ),
     )
     sky = skyline_2d(agg, "n_orders", "spend_c")
     if sky.empty:
@@ -15137,10 +15045,7 @@ def q_open_order_concurrency(sf_dir: str):
     excluded (no end ⇒ no interval)."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     orders = rd.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -15177,26 +15082,19 @@ def q_open_order_concurrency(sf_dir: str):
             }
         )
 
-    both = orders.map_batches(
-        o_proj, batch_format="pyarrow", zero_copy_batch=True
-    ).union(li.map_batches(l_proj, batch_format="pyarrow", zero_copy_batch=True))
-    nb = resolve_num_buckets(both)
+    both = [
+        orders.map_batches(o_proj, batch_format="pyarrow", zero_copy_batch=True),
+        li.map_batches(l_proj, batch_format="pyarrow", zero_copy_batch=True),
+    ]
+    out_schema = pa.schema([(c, pa.int64()) for c in ("day", "delta", "n_orders")])
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "okey", nb)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         agg = pdf.groupby("okey").agg(d0=("d0", "max"), d1=("d1", "max"))
         agg = agg.dropna()
         if agg.empty:
-            return pa.table(
-                {
-                    "day": pa.array([], pa.int64()),
-                    "delta": pa.array([], pa.int64()),
-                    "n_orders": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         starts = agg["d0"].astype(np.int64).value_counts()
         ends = (agg["d1"].astype(np.int64) + 1).value_counts()
         # zero-sum days are KEPT (they exist in the SQL twin's GROUP BY
@@ -15213,12 +15111,12 @@ def q_open_order_concurrency(sf_dir: str):
             }
         )
 
-    pdf = (
-        both.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        both,
+        "okey",
+        reduce_bucket,
+        schema=out_schema,
+    ).to_pandas()
     if pdf.empty:
         return pd.DataFrame(
             {
@@ -15718,10 +15616,7 @@ def q_basket_part_pairs(sf_dir: str):
     bucket). Ties break (count DESC, p1, p2)."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     li = rd.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -15738,12 +15633,9 @@ def q_basket_part_pairs(sf_dir: str):
         )
 
     ds = li.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(ds)
+    pair_schema = pa.schema([("pair", pa.int64()), ("c", pa.int64())])
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "okey", nb)
-
-    def enumerate_pairs(g: pa.Table) -> pa.Table:
+    def enumerate_pairs(g: pa.Table, _b: int) -> pa.Table:
         okey = g["okey"].to_numpy(zero_copy_only=False).astype(np.int64)
         pk = g["pk"].to_numpy(zero_copy_only=False).astype(np.int64)
         # distinct (order, part), sorted -> groups contiguous, parts asc
@@ -15751,9 +15643,7 @@ def q_basket_part_pairs(sf_dir: str):
         ok_s, pk_s = u // pair_base, u % pair_base
         n = len(u)
         if n < 2:
-            return pa.table(
-                {"pair": pa.array([], pa.int64()), "c": pa.array([], pa.int64())}
-            )
+            return pair_schema.empty_table()
         new_grp = np.empty(n, dtype=bool)
         new_grp[0] = True
         np.not_equal(ok_s[1:], ok_s[:-1], out=new_grp[1:])
@@ -15764,9 +15654,7 @@ def q_basket_part_pairs(sf_dir: str):
         counts = sizes[grp_id] - 1 - local  # pairs with this row as left
         tot = int(counts.sum())
         if tot == 0:
-            return pa.table(
-                {"pair": pa.array([], pa.int64()), "c": pa.array([], pa.int64())}
-            )
+            return pair_schema.empty_table()
         left = np.repeat(np.arange(n, dtype=np.int64), counts)
         run_start = np.cumsum(counts) - counts
         within = np.arange(tot, dtype=np.int64) - np.repeat(run_start, counts)
@@ -15777,29 +15665,19 @@ def q_basket_part_pairs(sf_dir: str):
             {"pair": pa.array(u2), "c": pa.array(c2.astype(np.int64))}
         )
 
-    partials = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(enumerate_pairs, batch_format="pyarrow")
-    )
+    partials = bucket_exchange(ds, "okey", enumerate_pairs, schema=pair_schema)
 
-    def tag2(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "pair", nb)
-
-    def local_topk(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def local_topk(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         agg = pdf.groupby("pair", as_index=False)["c"].sum()
         agg = agg.sort_values(
             ["c", "pair"], ascending=[False, True], kind="mergesort"
         ).head(BASKET_TOP_K)
         return pa.Table.from_pandas(agg, preserve_index=False)
 
-    pdf = (
-        partials.map_batches(tag2, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(local_topk, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        partials, "pair", local_topk, schema=pair_schema
+    ).to_pandas()
     if pdf.empty:
         return pd.DataFrame(
             {
@@ -15840,10 +15718,7 @@ def q_dup_size_histogram(sf_dir: str):
     from etl_data_validation_kio_ray.functions.hashing import (
         hash_string_array,
     )
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     docs = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["text"]
@@ -15862,13 +15737,8 @@ def q_dup_size_histogram(sf_dir: str):
     parts = docs.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "h", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         k = pdf.groupby("h")["c"].sum()
         hist = k.value_counts()
         return pa.table(
@@ -15878,12 +15748,12 @@ def q_dup_size_histogram(sf_dir: str):
             }
         )
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "h",
+        reduce_bucket,
+        schema=pa.schema([("cluster_size", pa.int64()), ("n_clusters", pa.int64())]),
+    ).to_pandas()
     if pdf.empty:
         return pd.DataFrame(
             {
@@ -15992,10 +15862,7 @@ def q_bigram_cond_entropy(sf_dir: str):
 
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     tok_dir = _token_table_dir(sf_dir)
     ds = rd.read_parquet(tok_dir, columns=["source", "tokens"])
@@ -16047,14 +15914,19 @@ def q_bigram_cond_entropy(sf_dir: str):
     parts = ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(parts)
+    out_schema = pa.schema(
+        [
+            ("b", pa.int64()),
+            ("source", pa.string()),
+            ("s1", pa.float64()),
+            ("s2", pa.float64()),
+            ("n2", pa.int64()),
+        ]
+    )
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "x", nb)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        b = int(g["__b"][0].as_py())
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = (
             pdf.groupby(["source", "code"], sort=True)["c"]
             .sum()
@@ -16078,12 +15950,12 @@ def q_bigram_cond_entropy(sf_dir: str):
         out.insert(0, "b", np.int64(b))
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "x",
+        reduce_bucket,
+        schema=out_schema,
+    ).to_pandas()
     if pdf.empty or "source" not in pdf.columns:
         # no source has a single bigram: both engines emit zero rows
         return pd.DataFrame(
@@ -16123,10 +15995,7 @@ def q_event_trigrams(sf_dir: str):
     and takes the top-K with the (n DESC, t1, t2, t3) tiebreak."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     ev = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
@@ -16144,39 +16013,30 @@ def q_event_trigrams(sf_dir: str):
         )
 
     ds = ev.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(ds)
+    out_schema = pa.schema(
+        [
+            ("t1", pa.string()),
+            ("t2", pa.string()),
+            ("t3", pa.string()),
+            ("n", pa.int64()),
+        ]
+    )
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "u", nb)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         pdf = pdf.sort_values(["u", "ts", "eid"], kind="mergesort")
         u = pdf["u"].to_numpy(np.int64)
         et = pdf["et"].to_numpy()
         n = len(pdf)
         if n < 3:
-            return pa.table(
-                {
-                    "t1": pa.array([], pa.string()),
-                    "t2": pa.array([], pa.string()),
-                    "t3": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         same = (u[:-2] == u[1:-1]) & (u[1:-1] == u[2:])
         tri = pd.DataFrame(
             {"t1": et[:-2][same], "t2": et[1:-1][same], "t3": et[2:][same]}
         )
         if tri.empty:
-            return pa.table(
-                {
-                    "t1": pa.array([], pa.string()),
-                    "t2": pa.array([], pa.string()),
-                    "t3": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         cnt = (
             tri.groupby(["t1", "t2", "t3"], sort=True)
             .size()
@@ -16186,12 +16046,12 @@ def q_event_trigrams(sf_dir: str):
         cnt["n"] = cnt["n"].astype(np.int64)
         return pa.Table.from_pandas(cnt, preserve_index=False)
 
-    pdf = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        ds,
+        "u",
+        reduce_bucket,
+        schema=out_schema,
+    ).to_pandas()
     cols = ["rank", "t1", "t2", "t3", "n"]
     if pdf.empty or "t1" not in pdf.columns:
         return pd.DataFrame(
@@ -16237,8 +16097,7 @@ def q_funnel_time_to_convert(sf_dir: str):
 
     from etl_data_validation_kio_ray.pipelines.relational import (
         global_row_number,
-        resolve_num_buckets,
-        tag_bucket,
+        bucket_exchange,
     )
 
     a_type, b_type = FUNNEL_PAIR
@@ -16266,16 +16125,11 @@ def q_funnel_time_to_convert(sf_dir: str):
         return g.rename_columns(["u", "fa", "fb"])
 
     parts = ev.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "u", nb)
-
     big = np.int64(np.iinfo(np.int64).max)
 
-    def delays(g: pa.Table) -> pa.Table:
+    def delays(g: pa.Table, _b: int) -> pa.Table:
         out = (
-            g.drop_columns(["__b"])
+            g
             .group_by("u")
             .aggregate([("fa", "min"), ("fb", "min")])
         )
@@ -16289,10 +16143,11 @@ def q_funnel_time_to_convert(sf_dir: str):
             }
         )
 
-    dly = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(delays, batch_format="pyarrow")
+    dly = bucket_exchange(
+        parts,
+        "u",
+        delays,
+        schema=pa.schema([("u", pa.int64()), ("delay_us", pa.int64())]),
     )
     ranked, n = global_row_number(dly, ["delay_us", "u"], out_col="rn")
     if n == 0:
@@ -16472,13 +16327,13 @@ def q_median_price_histsel(sf_dir: str):
         b = (c - np.int64(lo)) * k // span
         u, cnt = np.unique(b, return_counts=True)
         return pa.table(
-            {"b": pa.array(u), "cnt": pa.array(cnt.astype(np.int64))}
+            {"bin": pa.array(u), "cnt": pa.array(cnt.astype(np.int64))}
         )
 
     hb = (
         ds.map_batches(hist, batch_format="pyarrow", zero_copy_batch=True)
         .to_pandas()
-        .groupby("b")["cnt"]
+        .groupby("bin")["cnt"]
         .sum()
         .sort_index()
     )
@@ -16526,10 +16381,7 @@ def q_order_status_consistency(sf_dir: str):
     (/root/reference/src/app2/validators/dds/rules_suite/)."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     orders = rd.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -16572,16 +16424,21 @@ def q_order_status_consistency(sf_dir: str):
             }
         )
 
-    both = orders.map_batches(
-        o_proj, batch_format="pyarrow", zero_copy_batch=True
-    ).union(li.map_batches(l_proj, batch_format="pyarrow", zero_copy_batch=True))
-    nb = resolve_num_buckets(both)
+    both = [
+        orders.map_batches(o_proj, batch_format="pyarrow", zero_copy_batch=True),
+        li.map_batches(l_proj, batch_format="pyarrow", zero_copy_batch=True),
+    ]
+    out_schema = pa.schema(
+        [
+            ("o_orderstatus", pa.string()),
+            ("li_class", pa.string()),
+            ("n_orders", pa.int64()),
+        ]
+    )
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "okey", nb)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         # sentinel-fill before min/max: pandas object-dtype aggregation
         # chokes on None-mixed groups
         pdf["status"] = pdf["status"].fillna("")
@@ -16593,13 +16450,7 @@ def q_order_status_consistency(sf_dir: str):
         agg = agg[agg["status"] != ""]  # LEFT-join shape: orders only
         agg.loc[agg["lo"] == "￿", "lo"] = None
         if agg.empty:
-            return pa.table(
-                {
-                    "o_orderstatus": pa.array([], pa.string()),
-                    "li_class": pa.array([], pa.string()),
-                    "n_orders": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         cls = np.where(
             agg["lo"].isna(),
             "none",
@@ -16617,12 +16468,12 @@ def q_order_status_consistency(sf_dir: str):
         out["n_orders"] = out["n_orders"].astype(np.int64)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pdf = (
-        both.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        both,
+        "okey",
+        reduce_bucket,
+        schema=out_schema,
+    ).to_pandas()
     if pdf.empty or "o_orderstatus" not in pdf.columns:
         return pd.DataFrame(
             {
@@ -16721,10 +16572,7 @@ def q_boilerplate_position_tv(sf_dir: str):
     enumeration needed since each (source, token) row carries BOTH side
     counts after the per-bucket pivot. Sources whose docs are all ≤ K
     tokens (empty rest side) report defined = 0."""
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     import ray.data as rd
 
@@ -16797,13 +16645,8 @@ def q_boilerplate_position_tv(sf_dir: str):
             "boilerplate_position_tv: a·B exceeds the int64 bound — "
             "pre-scale counts before the exchange at this corpus size"
         )
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "token", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = (
             pdf.groupby(["source", "token", "side"], sort=True)["c"]
             .sum()
@@ -16828,12 +16671,12 @@ def q_boilerplate_position_tv(sf_dir: str):
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "token",
+        reduce_bucket,
+        schema=pa.schema([("source", pa.string()), ("num", pa.int64())]),
+    ).to_pandas()
     rows = []
     for s_name in sorted(set(a_s) | set(b_s)):
         av, bv = a_s.get(s_name, 0), b_s.get(s_name, 0)
@@ -16910,8 +16753,8 @@ def q_dau_wau_stickiness(sf_dir: str):
     import ray.data as rd
 
     from etl_data_validation_kio_ray.pipelines.relational import (
-        _key_hash,
-        resolve_num_buckets,
+        bucket_exchange,
+        key_buckets,
     )
 
     ev = rd.read_parquet(
@@ -16952,18 +16795,12 @@ def q_dau_wau_stickiness(sf_dir: str):
         )
 
     parts = ev.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-    nb = np.int64(resolve_num_buckets(parts))
 
-    def tag(t: pa.Table) -> pa.Table:
-        k = pc.add(
-            pc.multiply(pc.cast(t["kind"], pa.int64()), 1 << 62), t["pk"]
-        )
-        h = _key_hash(k.combine_chunks() if isinstance(k, pa.ChunkedArray) else k)
-        return t.append_column(
-            "__b", pa.array((h % np.uint64(nb)).astype(np.int32))
-        )
+    def kind_and_pair(t: pa.Table, nb: int) -> np.ndarray:
+        k = pc.add(pc.multiply(pc.cast(t["kind"], pa.int64()), 1 << 62), t["pk"])
+        return key_buckets(k, nb)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         pdf = g.to_pandas()
         ded = pdf.drop_duplicates(["kind", "pk"])
         out = (
@@ -16975,12 +16812,14 @@ def q_dau_wau_stickiness(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        kind_and_pair,
+        reduce_bucket,
+        schema=pa.schema(
+            [("kind", pa.int8()), ("period", pa.int64()), ("n", pa.int64())]
+        ),
+    ).to_pandas()
     cols = ["week", "days_active", "wau", "sum_dau", "stickiness_ppm"]
     if pdf.empty or "kind" not in pdf.columns:
         return pd.DataFrame({c: pd.Series([], dtype="int64") for c in cols})
@@ -17029,10 +16868,7 @@ def q_heaps_law_fit(sf_dir: str):
 
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     docs_max = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
@@ -17079,13 +16915,8 @@ def q_heaps_law_fit(sf_dir: str):
     parts = ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "token", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         cnt = (
             pdf.groupby(["shard", "token"], sort=True)["c"].sum().reset_index()
         )
@@ -17109,12 +16940,12 @@ def q_heaps_law_fit(sf_dir: str):
             }
         )
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "token",
+        reduce_bucket,
+        schema=pa.schema([(c, pa.int64()) for c in ("shard", "novel", "occurrences")]),
+    ).to_pandas()
     empty = pd.DataFrame(
         {
             "n_points": pd.Series([], dtype="int64"),
@@ -17508,10 +17339,7 @@ def q_cross_source_dup_matrix(sf_dir: str):
     from etl_data_validation_kio_ray.functions.hashing import (
         hash_string_array,
     )
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     docs = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["text", "source"]
@@ -17533,13 +17361,13 @@ def q_cross_source_dup_matrix(sf_dir: str):
     parts = docs.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(parts)
+    out_schema = pa.schema(
+        [("s1", pa.string()), ("s2", pa.string()), ("n_shared", pa.int64())]
+    )
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "h", nb)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas().drop_duplicates(["h", "source"])
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas().drop_duplicates(["h", "source"])
         pdf = pdf.sort_values(["h", "source"], kind="mergesort")
         rows: dict[tuple[str, str], int] = {}
         for _h, grp in pdf.groupby("h"):
@@ -17550,13 +17378,7 @@ def q_cross_source_dup_matrix(sf_dir: str):
                 for j in range(i + 1, len(ss)):
                     rows[(ss[i], ss[j])] = rows.get((ss[i], ss[j]), 0) + 1
         if not rows:
-            return pa.table(
-                {
-                    "s1": pa.array([], pa.string()),
-                    "s2": pa.array([], pa.string()),
-                    "n_shared": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         items = sorted(rows.items())
         return pa.table(
             {
@@ -17568,12 +17390,12 @@ def q_cross_source_dup_matrix(sf_dir: str):
             }
         )
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "h",
+        reduce_bucket,
+        schema=out_schema,
+    ).to_pandas()
     if pdf.empty or "s1" not in pdf.columns:
         return pd.DataFrame(
             {
@@ -17746,10 +17568,7 @@ def q_cdc_chunk_dedup(sf_dir: str):
     on one hash-keyed bucket exchange emitting counts only."""
     import ray.data as rd
 
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     tok_dir = _token_table_dir(sf_dir)
     ds = rd.read_parquet(tok_dir, columns=["source", "tokens"])
@@ -17828,13 +17647,17 @@ def q_cdc_chunk_dedup(sf_dir: str):
     parts = ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(parts)
+    out_schema = pa.schema(
+        [
+            ("source", pa.string()),
+            ("n_chunks", pa.int64()),
+            ("n_distinct", pa.int64()),
+        ]
+    )
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "h", nb)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         agg = pdf.groupby(["source", "h"], as_index=False)["c"].sum()
         out = agg.groupby("source").agg(
             n_chunks=("c", "sum"), n_distinct=("h", "size")
@@ -17844,12 +17667,12 @@ def q_cdc_chunk_dedup(sf_dir: str):
             out[c] = out[c].astype(np.int64)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "h",
+        reduce_bucket,
+        schema=out_schema,
+    ).to_pandas()
     cols = ["source", "n_chunks", "n_distinct", "dup_ppm"]
     if pdf.empty or "source" not in pdf.columns:
         return pd.DataFrame(
@@ -18328,10 +18151,7 @@ def q_bloom_decontamination(sf_dir: str):
     from etl_data_validation_kio_ray.functions.hashing import (
         hash_string_array,
     )
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     M, K = BLOOM_DECON_M, BLOOM_DECON_K
     docs = rd.read_parquet(
@@ -18402,35 +18222,26 @@ def q_bloom_decontamination(sf_dir: str):
     survivors = corpus.map_batches(
         CachedEngineFn(Prefilter), batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(corpus)
 
     def tag_probe(t: pa.Table) -> pa.Table:
-        return tag_bucket(
-            pa.table(
-                {
-                    "g": t["g"],
-                    "doc_id": pc.cast(t["doc_id"], pa.int64()),
-                    "__probe": pa.array(np.ones(t.num_rows, dtype=bool)),
-                }
-            ),
-            "g",
-            nb,
+        return pa.table(
+            {
+                "g": t["g"],
+                "doc_id": pc.cast(t["doc_id"], pa.int64()),
+                "__probe": pa.array(np.ones(t.num_rows, dtype=bool)),
+            }
         )
 
     def tag_build(t: pa.Table) -> pa.Table:
-        return tag_bucket(
-            pa.table(
-                {
-                    "g": t["g"],
-                    "doc_id": pa.nulls(t.num_rows, pa.int64()),
-                    "__probe": pa.array(np.zeros(t.num_rows, dtype=bool)),
-                }
-            ),
-            "g",
-            nb,
+        return pa.table(
+            {
+                "g": t["g"],
+                "doc_id": pa.nulls(t.num_rows, pa.int64()),
+                "__probe": pa.array(np.zeros(t.num_rows, dtype=bool)),
+            }
         )
 
-    def confirm(g: pa.Table) -> pa.Table:
+    def confirm(g: pa.Table, _b: int) -> pa.Table:
         probe = g.filter(g["__probe"])
         build = g.filter(pc.invert(g["__probe"]))["g"]
         hit = probe.filter(pc.is_in(probe["g"], value_set=build))
@@ -18439,10 +18250,15 @@ def q_bloom_decontamination(sf_dir: str):
         return out
 
     contaminated = (
-        survivors.map_batches(tag_probe, batch_format="pyarrow")
-        .union(evg.map_batches(tag_build, batch_format="pyarrow"))
-        .groupby("__b")
-        .map_groups(confirm, batch_format="pyarrow")
+        bucket_exchange(
+            [
+                survivors.map_batches(tag_probe, batch_format="pyarrow"),
+                evg.map_batches(tag_build, batch_format="pyarrow"),
+            ],
+            "g",
+            confirm,
+            schema=pa.schema([("doc_id", pa.int64())]),
+        )
         # global distinct over the (per-bucket-distinct) doc ids — a
         # doc whose grams span buckets appears once per bucket
         .groupby("doc_id")
@@ -18574,10 +18390,7 @@ def q_fd_discovery_scan(sf_dir: str):
     from etl_data_validation_kio_ray.functions.hashing import (
         hash_string_array,
     )
-    from etl_data_validation_kio_ray.pipelines.relational import (
-        resolve_num_buckets,
-        tag_bucket,
-    )
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
 
     cols = FD_SCAN_COLS
     pairs = [
@@ -18621,13 +18434,8 @@ def q_fd_discovery_scan(sf_dir: str):
     parts = part.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    nb = resolve_num_buckets(parts)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, "k", nb)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        pdf = g.drop_columns(["__b"]).to_pandas()
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
+        pdf = g.to_pandas()
         grp = pdf.groupby(["pid", "ha"])["hb"].nunique()
         out = grp.groupby("pid").agg(["size", lambda v: int((v > 1).sum())])
         out.columns = ["n_groups", "n_violating"]
@@ -18642,12 +18450,12 @@ def q_fd_discovery_scan(sf_dir: str):
             }
         )
 
-    pdf = (
-        parts.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    pdf = bucket_exchange(
+        parts,
+        "k",
+        reduce_bucket,
+        schema=pa.schema([(c, pa.int64()) for c in ("pid", "n_groups", "n_violating")]),
+    ).to_pandas()
     agg = (
         pdf.groupby("pid").agg(
             n_groups=("n_groups", "sum"), n_violating=("n_violating", "sum")

@@ -50,15 +50,11 @@ def _bucketed_lookup_min(labels_ds, probes_ds, *, num_buckets: int):
     """One round-step: for probe rows (dst, key), look up ``key``'s
     current label and emit (dst, label); combined with the existing
     labels and reduced by per-node min in a second bucketed exchange.
-    Both exchanges are plain hash-bucket groupbys (house pattern) —
+    Both exchanges are :func:`relational.bucket_exchange` calls —
     no join aggregator actors per round."""
-    from ..pipelines.relational import tag_bucket
+    from ..pipelines.relational import bucket_exchange, bucketed_group_agg
 
-    def tag_by(col):
-        def f(t: pa.Table) -> pa.Table:
-            return tag_bucket(t, col, num_buckets)
-
-        return f
+    msg_schema = pa.schema([("node", pa.int64()), ("cand", pa.int64())])
 
     # exchange 1: co-locate probes with the labels of their lookup key
     l_tagged = labels_ds.map_batches(
@@ -67,25 +63,21 @@ def _bucketed_lookup_min(labels_ds, probes_ds, *, num_buckets: int):
              "label": t["label"]}
         ),
         batch_format="pyarrow",
-    ).map_batches(tag_by("key"), batch_format="pyarrow")
+    )
     p_tagged = probes_ds.map_batches(
         lambda t: pa.table(
             {"dst": t["dst"], "key": t["key"],
              "label": pa.nulls(t.num_rows, pa.int64())}
         ),
         batch_format="pyarrow",
-    ).map_batches(tag_by("key"), batch_format="pyarrow")
+    )
 
-    def resolve(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def resolve(g: pa.Table, _b: int) -> pa.Table:
         is_lbl = pc.is_valid(g["label"])
         lbl = g.filter(is_lbl)
         pr = g.filter(pc.invert(is_lbl))
         if pr.num_rows == 0 or lbl.num_rows == 0:
-            return pa.table(
-                {"node": pa.array([], pa.int64()),
-                 "cand": pa.array([], pa.int64())}
-            )
+            return msg_schema.empty_table()
         keys = lbl["key"].to_numpy(zero_copy_only=False)
         order = np.argsort(keys, kind="stable")
         skeys = keys[order]
@@ -102,10 +94,12 @@ def _bucketed_lookup_min(labels_ds, probes_ds, *, num_buckets: int):
             }
         )
 
-    msgs = (
-        l_tagged.union(p_tagged)
-        .groupby("__b")
-        .map_groups(resolve, batch_format="pyarrow")
+    msgs = bucket_exchange(
+        [l_tagged, p_tagged],
+        "key",
+        resolve,
+        schema=msg_schema,
+        num_buckets=num_buckets,
     )
 
     # exchange 2: per-node min over (current label, candidates)
@@ -113,13 +107,12 @@ def _bucketed_lookup_min(labels_ds, probes_ds, *, num_buckets: int):
         lambda t: pa.table({"node": t["node"], "cand": t["label"]}),
         batch_format="pyarrow",
     )
-    from ..pipelines.relational import bucketed_group_agg
-
     return bucketed_group_agg(
-        cur.union(msgs), "node", [("cand", "min")], num_buckets=num_buckets
-    ).map_batches(
-        lambda t: pa.table({"node": t["node"], "label": t["cand"]}),
-        batch_format="pyarrow",
+        [cur, msgs],
+        "node",
+        [("cand", "min")],
+        num_buckets=num_buckets,
+        post=lambda t: t.rename_columns(["node", "label"]),
     )
 
 

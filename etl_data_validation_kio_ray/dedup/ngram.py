@@ -66,30 +66,30 @@ def semi_join_docs(
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..pipelines.relational import dataset_arrow_schema, tag_bucket
+    from ..pipelines.relational import bucket_exchange, dataset_arrow_schema
 
     id_type = dataset_arrow_schema(probe_ds).field(id_col).type
 
     def _tag(t: pa.Table, is_probe: bool) -> pa.Table:
         ids = t[id_col] if is_probe else pa.nulls(t.num_rows, id_type)
-        cols = pa.table(
+        return pa.table(
             {
                 key_col: t[key_col],
                 id_col: ids,
                 "__p": pa.array(np.full(t.num_rows, is_probe)),
             }
         )
-        return tag_bucket(cols, key_col, num_partitions)
 
-    both = build_ds.map_batches(
-        lambda t: _tag(t, False), batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        probe_ds.map_batches(
-            lambda t: _tag(t, True), batch_format="pyarrow", zero_copy_batch=True
+    both = [
+        side.map_batches(
+            lambda t, p=is_probe: _tag(t, p),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
         )
-    )
+        for side, is_probe in ((build_ds, False), (probe_ds, True))
+    ]
 
-    def _semi(g: pa.Table) -> pa.Table:
+    def _semi(g: pa.Table, _b: int) -> pa.Table:
         p = g["__p"]
         if isinstance(p, pa.ChunkedArray):
             p = p.combine_chunks()
@@ -101,7 +101,13 @@ def semi_join_docs(
         out = probe.filter(hit).select([id_col])
         return out.group_by(id_col).aggregate([])
 
-    return both.groupby("__b").map_groups(_semi, batch_format="pyarrow")
+    return bucket_exchange(
+        both,
+        key_col,
+        _semi,
+        schema=pa.schema([(id_col, id_type)]),
+        num_buckets=num_partitions,
+    )
 
 
 def gram_occurrences(
@@ -191,17 +197,14 @@ def dup_gram_stats(
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..pipelines.relational import resolve_num_buckets, tag_bucket
-
-    nb = resolve_num_buckets(ds, num_partitions)
+    from ..pipelines.relational import bucket_exchange
 
     def _partial(t: pa.Table) -> pa.Table:
         occ = gram_occurrences(t, text_col=text_col, k=k, carry=[group_col])
         part = occ.group_by(["g", group_col]).aggregate([([], "count_all")])
-        part = part.rename_columns(["g", group_col, "cnt"])
-        return tag_bucket(part, "g", nb)
+        return part.rename_columns(["g", group_col, "cnt"])
 
-    def _reduce(g: pa.Table) -> pa.Table:
+    def _reduce(g: pa.Table, _b: int) -> pa.Table:
         cnt = g["cnt"]
         if isinstance(cnt, pa.ChunkedArray):
             cnt = cnt.combine_chunks()
@@ -220,10 +223,19 @@ def dup_gram_stats(
         )
         return out.rename_columns([group_col, "n_grams", "dup_grams"])
 
-    tagged = ds.map_batches(
-        _partial, batch_format="pyarrow", zero_copy_batch=True
+    return bucket_exchange(
+        ds.map_batches(_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "g",
+        _reduce,
+        schema=lambda s: pa.schema(
+            [
+                (group_col, s.field(group_col).type),
+                ("n_grams", pa.int64()),
+                ("dup_grams", pa.int64()),
+            ]
+        ),
+        num_buckets=num_partitions,
     )
-    return tagged.groupby("__b").map_groups(_reduce, batch_format="pyarrow")
 
 
 def cross_corpus_contamination(
@@ -361,48 +373,40 @@ def ngram_jaccard_pairs(
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..pipelines.relational import resolve_num_buckets, tag_bucket
+    from ..pipelines.relational import (
+        bucket_exchange,
+        key_buckets,
+        resolve_num_buckets,
+    )
 
     nb = resolve_num_buckets(ds, num_partitions)
-    SCHEMA = {
-        "kind": pa.int8(),  # 0 = size row, 1 = pair row
-        "a": pa.int64(),
-        "b": pa.int64(),
-        "inter": pa.int64(),
-        "size_a": pa.int64(),
-    }
-
-    def _empty(extra: dict | None = None) -> pa.Table:
-        cols = {c: pa.array([], t) for c, t in SCHEMA.items()}
-        if extra:
-            cols.update(extra)
-        return pa.table(cols)
+    partial = pa.schema(
+        [
+            ("kind", pa.int8()),  # 0 = size row, 1 = pair row
+            ("a", pa.int64()),
+            ("b", pa.int64()),
+            ("inter", pa.int64()),
+            ("size_a", pa.int64()),
+        ]
+    )
 
     def _mk(kind, a, b, inter, size_a) -> pa.Table:
-        n = len(a)
         return pa.table(
-            {
-                "kind": pa.array(np.full(n, kind, np.int8)),
-                "a": pa.array(np.asarray(a, np.int64)),
-                "b": pa.array(np.asarray(b, np.int64)),
-                "inter": pa.array(np.asarray(inter, np.int64)),
-                "size_a": pa.array(np.asarray(size_a, np.int64)),
-            }
+            [np.full(len(a), kind, np.int8)]
+            + [np.asarray(v, np.int64) for v in (a, b, inter, size_a)],
+            schema=partial,
         )
 
     def distinct_doc_grams(t: pa.Table) -> pa.Table:
         occ = gram_occurrences(t, text_col=text_col, k=k, carry=[id_col])
-        dg = occ.group_by(["g", id_col]).aggregate([])
-        return tag_bucket(dg, "g", nb)
+        return occ.group_by(["g", id_col]).aggregate([])
 
-    def gram_bucket(g: pa.Table) -> pa.Table:
+    def gram_bucket(g: pa.Table, _b: int) -> pa.Table:
         g = g.sort_by([("g", "ascending"), (id_col, "ascending")])
         codes_arr = pc.dictionary_encode(g["g"].combine_chunks())
         codes = codes_arr.indices.to_numpy(zero_copy_only=False)
         docs = g[id_col].combine_chunks().to_numpy(zero_copy_only=False)
         n = len(codes)
-        if n == 0:
-            return tag_bucket(_empty(), "a", nb)
         starts = np.r_[np.int64(0), np.flatnonzero(np.diff(codes)) + 1]
         sizes = np.diff(np.r_[starts, n])
         kept = sizes <= df_cap
@@ -431,10 +435,9 @@ def ngram_jaccard_pairs(
                 _mk(1, grp["a"].to_numpy(), grp["b"].to_numpy(),
                     grp["c"].to_numpy(), np.zeros(len(grp)))
             )
-        res = pa.concat_tables(out)
-        return tag_bucket(res, "a", nb)  # stage-2 routing: owner = a/doc
+        return pa.concat_tables(out)
 
-    def a_bucket(g: pa.Table) -> pa.Table:
+    def a_bucket(g: pa.Table, _b: int) -> pa.Table:
         kind = g["kind"].combine_chunks().to_numpy(zero_copy_only=False)
         sz = g.filter(pa.array(kind == 0))
         sz = sz.group_by("a").aggregate([("inter", "sum")])  # partial sizes sum
@@ -456,15 +459,22 @@ def ngram_jaccard_pairs(
                     "its own bucket — routing invariant broken"
                 )
             out.append(_mk(1, av, bv, iv, ssizes[pos]))
-        res = pa.concat_tables(out)
-        # stage-3 routing: sizes re-scatter by doc (a), pairs by b
-        route = pc.if_else(
-            pc.equal(res["kind"], pa.scalar(0, pa.int8())), res["a"], res["b"]
-        )
-        res = res.append_column("__r", route)
-        return tag_bucket(res, "__r", nb).drop_columns("__r")
+        return pa.concat_tables(out)
 
-    def b_bucket(g: pa.Table) -> pa.Table:
+    def by_doc_then_b(t: pa.Table, n: int) -> np.ndarray:
+        # stage-3 routing: sizes re-scatter by doc (a), pairs by b
+        kind0 = pc.equal(t["kind"], pa.scalar(0, pa.int8()))
+        return key_buckets(pc.if_else(kind0, t["a"], t["b"]), n)
+
+    out_score = "cont_x1e6" if measure == "containment" else "jac_x1e6"
+    out_schema = pa.schema(
+        [
+            (c, pa.int64())
+            for c in ("doc_a", "doc_b", "inter", "size_a", "size_b", out_score)
+        ]
+    )
+
+    def b_bucket(g: pa.Table, _b: int) -> pa.Table:
         kind = g["kind"].combine_chunks().to_numpy(zero_copy_only=False)
         sz = g.filter(pa.array(kind == 0))
         sdocs = sz["a"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -472,17 +482,8 @@ def ngram_jaccard_pairs(
         order = np.argsort(sdocs, kind="stable")
         sdocs, ssizes = sdocs[order], ssizes[order]
         pr = g.filter(pa.array(kind == 1))
-        out_score = "cont_x1e6" if measure == "containment" else "jac_x1e6"
-        ecols = {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "inter": pa.array([], pa.int64()),
-            "size_a": pa.array([], pa.int64()),
-            "size_b": pa.array([], pa.int64()),
-            out_score: pa.array([], pa.int64()),
-        }
         if not pr.num_rows:
-            return pa.table(ecols)
+            return out_schema.empty_table()
         av = pr["a"].combine_chunks().to_numpy(zero_copy_only=False)
         bv = pr["b"].combine_chunks().to_numpy(zero_copy_only=False)
         iv = pr["inter"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -501,10 +502,8 @@ def ngram_jaccard_pairs(
         # which symmetric Jaccard dilutes); both exact-int tests
         if measure == "containment":
             den = np.minimum(sa, sb)
-            score_col = "cont_x1e6"
         else:
             den = sa + sb - iv
-            score_col = "jac_x1e6"
         keep = iv * np.int64(tau_den) >= np.int64(tau_num) * den
         score = iv[keep] * np.int64(1_000_000) // den[keep]
         return pa.table(
@@ -514,28 +513,20 @@ def ngram_jaccard_pairs(
                 "inter": pa.array(iv[keep]),
                 "size_a": pa.array(sa[keep]),
                 "size_b": pa.array(sb[keep]),
-                score_col: pa.array(score),
+                out_score: pa.array(score),
             }
         )
 
-    tagged = ds.map_batches(
-        distinct_doc_grams, batch_format="pyarrow", zero_copy_batch=True
+    s2 = bucket_exchange(
+        ds.map_batches(
+            distinct_doc_grams, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "g",
+        gram_bucket,
+        schema=partial,
+        num_buckets=nb,
     )
-    s2 = tagged.groupby("__b").map_groups(gram_bucket, batch_format="pyarrow")
-    s3 = s2.groupby("__b").map_groups(a_bucket, batch_format="pyarrow")
-    s4 = s3.groupby("__b").map_groups(b_bucket, batch_format="pyarrow")
-    # Ray drops empty map_groups outputs, so a zero-pair corpus would
-    # surface as a schema-less empty dataset; seed one empty block with
-    # the declared schema so callers always see the columns.
-    import ray.data as rd
-
-    score_name = "cont_x1e6" if measure == "containment" else "jac_x1e6"
-    seed = rd.from_arrow(
-        pa.table(
-            {
-                c: pa.array([], pa.int64())
-                for c in ("doc_a", "doc_b", "inter", "size_a", "size_b", score_name)
-            }
-        )
+    s3 = bucket_exchange(s2, "a", a_bucket, schema=partial, num_buckets=nb)
+    return bucket_exchange(
+        s3, by_doc_then_b, b_bucket, schema=out_schema, num_buckets=nb
     )
-    return seed.union(s4)

@@ -309,9 +309,7 @@ def tfidf_top_terms(
     """
     import pandas as pd
 
-    from ..pipelines.relational import resolve_num_buckets, tag_bucket
-
-    nb = resolve_num_buckets(ds, num_partitions)
+    from ..pipelines.relational import bucket_exchange
 
     def partial(t: pa.Table) -> pa.Table:
         text = t[text_col]
@@ -333,7 +331,7 @@ def tfidf_top_terms(
         sw = per_doc.group_by([group_col, "word"]).aggregate(
             [("word_count", "sum"), ("word_count", "count")]
         )
-        out = pa.table(
+        return pa.table(
             {
                 group_col: sw[group_col],
                 "word": sw["word"],
@@ -341,9 +339,8 @@ def tfidf_top_terms(
                 "dfp": pc.cast(sw["word_count_count"], pa.int64()),
             }
         )
-        return tag_bucket(out, "word", nb)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         sw = g.group_by([group_col, "word"]).aggregate(
             [("tf", "sum"), ("dfp", "sum")]
         )
@@ -370,12 +367,16 @@ def tfidf_top_terms(
             pdf.groupby(group_col, sort=False).head(k), preserve_index=False
         )
 
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    parts = bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "word",
+        reduce_bucket,
+        schema=lambda s: pa.schema(
+            [(group_col, s.field(group_col).type), ("term", s.field("word").type)]
+            + [(c, pa.int64()) for c in ("tf", "df", "score_x1e9")]
+        ),
+        num_buckets=num_partitions,
+    ).to_pandas()
     parts = parts.sort_values(
         [group_col, "score_x1e9", "term"], ascending=[True, False, True]
     )
@@ -1059,20 +1060,33 @@ def word_pmi_topk(
     import pandas as pd
 
     from ..dedup.ngram import gram_occurrences
-    from ..pipelines.relational import resolve_num_buckets, tag_bucket
+    from ..pipelines.relational import (
+        bucket_exchange,
+        key_buckets,
+        resolve_num_buckets,
+    )
 
     nb = resolve_num_buckets(ds, num_partitions)
     SCALE = np.int64(10**12)
+    partial = pa.schema(
+        [
+            ("kind", pa.int8()),
+            ("w1", pa.string()),
+            ("w2", pa.string()),
+            ("cnt", pa.int64()),
+            ("f1", pa.int64()),
+        ]
+    )
+    out_schema = pa.schema(
+        [("w1", pa.string()), ("w2", pa.string())]
+        + [(c, pa.int64()) for c in ("f_ab", "f1", "f2", "assoc_x1e12")]
+    )
 
     def _mk(kind, w1, w2, cnt, f1) -> pa.Table:
         return pa.table(
-            {
-                "kind": pa.array(np.full(len(w1), kind, np.int8)),
-                "w1": pa.array(list(w1), pa.string()),
-                "w2": pa.array(list(w2), pa.string()),
-                "cnt": pa.array(np.asarray(cnt, np.int64)),
-                "f1": pa.array(np.asarray(f1, np.int64)),
-            }
+            [np.full(len(w1), kind, np.int8), list(w1), list(w2)]
+            + [np.asarray(cnt, np.int64), np.asarray(f1, np.int64)],
+            schema=partial,
         )
 
     def partials(t: pa.Table) -> pa.Table:
@@ -1086,16 +1100,15 @@ def word_pmi_topk(
         bn = bc["count_all"].combine_chunks().to_numpy(zero_copy_only=False)
         # the gram string is "w1 w2"; w1 never contains a space
         split = [p.split(" ", 1) for p in pairs]
-        out = pa.concat_tables(
+        return pa.concat_tables(
             [
                 _mk(0, uw, [""] * len(uw), un, np.zeros(len(uw))),
                 _mk(1, [s[0] for s in split], [s[1] for s in split], bn,
                     np.zeros(len(split))),
             ]
         )
-        return tag_bucket(out, "w1", nb)
 
-    def first_word_bucket(g: pa.Table) -> pa.Table:
+    def first_word_bucket(g: pa.Table, _b: int) -> pa.Table:
         kind = g["kind"].combine_chunks().to_numpy(zero_copy_only=False)
         uni = g.filter(pa.array(kind == 0)).group_by("w1").aggregate(
             [("cnt", "sum")]
@@ -1117,20 +1130,20 @@ def word_pmi_topk(
                 "word_pmi_topk: pair's first word has no unigram count in "
                 "its own bucket — routing invariant broken"
             )
-        out = pa.concat_tables(
+        return pa.concat_tables(
             [
                 _mk(0, f.index.to_numpy(object), [""] * len(f),
                     f.to_numpy(np.int64), np.zeros(len(f))),
                 _mk(1, w1, w2, fab[keep], f1.astype(np.int64)),
             ]
         )
-        route = pc.if_else(
-            pc.equal(out["kind"], pa.scalar(0, pa.int8())), out["w1"], out["w2"]
-        )
-        out = out.append_column("__r", route)
-        return tag_bucket(out, "__r", nb).drop_columns("__r")
 
-    def second_word_bucket(g: pa.Table) -> pa.Table:
+    def by_word_then_w2(t: pa.Table, n: int) -> np.ndarray:
+        # stage-2 routing: unigram counts re-scatter by word, pairs by w2
+        kind0 = pc.equal(t["kind"], pa.scalar(0, pa.int8()))
+        return key_buckets(pc.if_else(kind0, t["w1"], t["w2"]), n)
+
+    def second_word_bucket(g: pa.Table, _b: int) -> pa.Table:
         kind = g["kind"].combine_chunks().to_numpy(zero_copy_only=False)
         uni = g.filter(pa.array(kind == 0))
         f = pd.Series(
@@ -1140,16 +1153,8 @@ def word_pmi_topk(
         # unigram partials for one word can arrive from many stage-1
         # buckets only if... they cannot: stage 1 owned the word fully.
         pr = g.filter(pa.array(kind == 1))
-        ecols = {
-            "w1": pa.array([], pa.string()),
-            "w2": pa.array([], pa.string()),
-            "f_ab": pa.array([], pa.int64()),
-            "f1": pa.array([], pa.int64()),
-            "f2": pa.array([], pa.int64()),
-            "assoc_x1e12": pa.array([], pa.int64()),
-        }
         if not pr.num_rows:
-            return pa.table(ecols)
+            return out_schema.empty_table()
         w2l = pr["w2"].combine_chunks().to_pylist()
         f2 = f.reindex(w2l).to_numpy()
         if np.isnan(f2.astype(np.float64)).any() if f2.dtype == object else np.isnan(f2).any():
@@ -1180,29 +1185,23 @@ def word_pmi_topk(
             }
         )
 
-    import ray.data as rd
-
-    s1 = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-    s2 = s1.groupby("__b").map_groups(first_word_bucket, batch_format="pyarrow")
-    s3 = s2.groupby("__b").map_groups(second_word_bucket, batch_format="pyarrow")
-    seed = rd.from_arrow(
-        pa.table(
-            {
-                "w1": pa.array([], pa.string()),
-                "w2": pa.array([], pa.string()),
-                "f_ab": pa.array([], pa.int64()),
-                "f1": pa.array([], pa.int64()),
-                "f2": pa.array([], pa.int64()),
-                "assoc_x1e12": pa.array([], pa.int64()),
-            }
-        )
+    s2 = bucket_exchange(
+        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        "w1",
+        first_word_bucket,
+        schema=partial,
+        num_buckets=nb,
+    )
+    s3 = bucket_exchange(
+        s2, by_word_then_w2, second_word_bucket, schema=out_schema, num_buckets=nb
     )
     top = (
-        seed.union(s3)
-        .sort(["assoc_x1e12", "w1", "w2"], descending=[True, False, False])
+        s3.sort(["assoc_x1e12", "w1", "w2"], descending=[True, False, False])
         .limit(k)
         .to_pandas()
     )
+    if top.empty:  # Ray's to_pandas drops the columns of an empty result
+        top = out_schema.empty_table().to_pandas()
     for c in ("f_ab", "f1", "f2", "assoc_x1e12"):
         top[c] = top[c].astype("int64")
     return top.reset_index(drop=True)

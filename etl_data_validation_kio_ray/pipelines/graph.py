@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .relational import resolve_num_buckets, tag_bucket
+from .relational import bucket_exchange
 
 
 def cooccurrence_adjacency(
@@ -61,13 +61,9 @@ def cooccurrence_adjacency(
         )
 
     dedup = pairs_ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-    nb = resolve_num_buckets(dedup, num_buckets)
     ref = ray.put(np.ascontiguousarray(node_keys, dtype=np.int64))
 
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, group_col, nb)
-
-    def bucket_bits(g: pa.Table, _ref=ref) -> pa.Table:
+    def bucket_bits(g: pa.Table, _b: int, _ref=ref) -> pa.Table:
         nk = ray.get(_ref)
         gk = g[group_col].to_numpy(zero_copy_only=False).astype(np.int64)
         nv = g[node_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -94,12 +90,13 @@ def cooccurrence_adjacency(
         np.fill_diagonal(adj, False)
         return pa.table({"bits": pa.array([np.packbits(adj).tobytes()], pa.binary())})
 
-    rows = (
-        dedup.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_bits, batch_format="pyarrow")
-        .take_all()
-    )  # bounded: #buckets rows x S^2/8 bytes — partials, not data
+    rows = bucket_exchange(
+        dedup,
+        group_col,
+        bucket_bits,
+        schema=pa.schema([("bits", pa.binary())]),
+        num_buckets=num_buckets,
+    ).take_all()  # bounded: #buckets rows x S^2/8 bytes — partials, not data
     acc = np.zeros(nbytes, dtype=np.uint8)
     for r in rows:
         acc |= np.frombuffer(r["bits"], dtype=np.uint8)

@@ -22,7 +22,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .relational import grouped_agg, tag_bucket
+from .relational import bucket_exchange, grouped_agg
 
 
 def _distinct_counts_all(
@@ -47,7 +47,7 @@ def _distinct_counts_all(
             u = pc.unique(v.drop_null())
             vals.append(pc.cast(u, pa.string()))
             names.append(pa.array([c] * len(u), pa.string()))
-        out = pa.table(
+        return pa.table(
             {
                 "c": pa.concat_arrays(names),
                 "v": pa.concat_arrays(
@@ -55,10 +55,9 @@ def _distinct_counts_all(
                 ),
             }
         )
-        return tag_bucket(out, "v", num_buckets)
 
-    def reduce_bucket(t: pa.Table) -> pa.Table:
-        pairs = t.drop_columns(["__b"]).group_by(["c", "v"]).aggregate([])
+    def reduce_bucket(t: pa.Table, _b: int) -> pa.Table:
+        pairs = t.group_by(["c", "v"]).aggregate([])
         per_col = pairs.group_by("c").aggregate([("v", "count")])
         return pa.table(
             {
@@ -67,12 +66,13 @@ def _distinct_counts_all(
             }
         )
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    out = bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "v",
+        reduce_bucket,
+        schema=pa.schema([("c", pa.string()), ("n", pa.int64())]),
+        num_buckets=num_buckets,
+    ).to_pandas()
     counts = {c: 0 for c in cols}
     if len(out):
         for c, n in out.groupby("c")["n"].sum().items():

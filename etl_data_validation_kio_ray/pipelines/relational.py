@@ -6,6 +6,15 @@ checks), grouped aggregates with per-batch partial pre-aggregation
 top-k, distinct, and an event-time tumbling-window aggregate (the
 engine's streaming-shaped addition; ordering assumption: none needed —
 tumbling windows are a pure groupby on the bucketed timestamp).
+
+Every hash-bucket exchange in the package and in ``__ray_entry__.py``
+is one call of :func:`bucket_exchange`: rows meet by
+``hash(key) % num_buckets`` (or a key function of the batch), a
+reducer sees each bucket's rows as one table, and every output block
+carries the declared schema, so an empty bucket, range or input never
+leaves a schema-less block. ``bucketed_group_agg``,
+``fact_dim_cogroup``, ``asof_join``, ``key_set_reconcile`` and the
+other per-key operators here are reducers over it.
 """
 
 from __future__ import annotations
@@ -181,6 +190,22 @@ def _key_hash(arr: pa.Array) -> np.ndarray:
     return _splitmix64(v.view(np.uint64))
 
 
+def _side_keys(ds, key_col: str, side_code: int):
+    """(k, s) rows: the distinct non-null keys of each batch of ``ds``
+    (integers cast to int64, so both sides meet on one type), tagged
+    with ``side_code`` — per-batch dedup bounds what a key-set exchange
+    carries to #batches copies of a key, not #rows."""
+
+    def fn(t: pa.Table) -> pa.Table:
+        k = t[key_col].combine_chunks()
+        if pa.types.is_integer(k.type):
+            k = pc.cast(k, pa.int64())
+        k = pc.unique(k.drop_null())
+        return pa.table({"k": k, "s": pa.array(np.full(len(k), side_code, np.int8))})
+
+    return ds.map_batches(fn, batch_format="pyarrow")
+
+
 def key_set_reconcile(
     left_ds,
     right_ds,
@@ -199,78 +224,53 @@ def key_set_reconcile(
     dds/source_suite/matches_source.py:18-52).
 
     Neither side is collected or broadcast: each side projects to
-    (key, side, bucket=hash(key) % num_buckets) with PER-BATCH key
-    dedup (the exchange carries at most #batches copies of a key, not
-    #rows), the bucket groupby co-locates every occurrence of a key,
-    and the per-bucket set difference is a vectorized Arrow
-    ``is_in`` probe. Returns a (key, side) table sorted by (side, key);
-    the result is the violation set, assumed small — the INPUTS may
-    both be arbitrarily large."""
-    nb = np.int64(resolve_num_buckets(left_ds, num_buckets))
+    (key, side) with PER-BATCH key dedup (the exchange carries at most
+    #batches copies of a key, not #rows), one :func:`bucket_exchange`
+    on the key co-locates every occurrence of a key, and the per-bucket
+    set difference is a vectorized Arrow ``is_in`` probe. Returns a
+    (key, side) table sorted by (side, key); the result is the
+    violation set, assumed small — the INPUTS may both be arbitrarily
+    large."""
 
-    def project(side_code: int, key_col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            k = t[key_col]
-            if isinstance(k, pa.ChunkedArray):
-                k = k.combine_chunks()
-            if pa.types.is_integer(k.type):
-                k = pc.cast(k, pa.int64())  # both sides meet on one type
-            k = pc.unique(k.drop_null())  # per-batch dedup before the shuffle
-            h = _key_hash(k)
-            return pa.table(
-                {
-                    "k": k,
-                    "s": pa.array(
-                        np.full(len(k), side_code, dtype=np.int8), pa.int8()
-                    ),
-                    "b": pa.array((h % np.uint64(nb)).astype(np.int32)),
-                }
-            )
-
-        return fn
-
-    left_proj = left_ds.map_batches(project(0, left_key), batch_format="pyarrow")
-    right_proj = right_ds.map_batches(project(1, right_key), batch_format="pyarrow")
+    left_proj = _side_keys(left_ds, left_key, 0)
+    right_proj = _side_keys(right_ds, right_key, 1)
 
     want_left = "left_only" in emit
     want_right = "right_only" in emit
 
-    def bucket_diff(g: pa.Table) -> pa.Table:
-        k = g["k"]
-        s = g["s"]
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
-        if isinstance(s, pa.ChunkedArray):
-            s = s.combine_chunks()
+    def bucket_diff(g: pa.Table, _b: int) -> pa.Table:
+        k = g["k"].combine_chunks()
+        s = g["s"].combine_chunks()
         left = pc.unique(k.filter(pc.equal(s, 0)))
         right = pc.unique(k.filter(pc.equal(s, 1)))
-        keys_out = []
+        keys_out = [k.slice(0, 0)]
         sides_out = []
         if want_left and len(left):
-            lonly = left.filter(
-                pc.invert(pc.is_in(left, value_set=right))
-            )
+            lonly = left.filter(pc.invert(pc.is_in(left, value_set=right)))
             keys_out.append(lonly)
             sides_out.extend([left_only_label] * len(lonly))
         if want_right and len(right):
-            ronly = right.filter(
-                pc.invert(pc.is_in(right, value_set=left))
-            )
+            ronly = right.filter(pc.invert(pc.is_in(right, value_set=left)))
             keys_out.append(ronly)
             sides_out.extend([right_only_label] * len(ronly))
-        keys = (
-            pa.concat_arrays([a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a for a in keys_out])
-            if keys_out
-            else pa.array([], g["k"].type)
+        return pa.table(
+            {
+                "key": pa.concat_arrays(keys_out),
+                "side": pa.array(sides_out, pa.string()),
+            }
         )
-        return pa.table({"key": keys, "side": pa.array(sides_out, pa.string())})
 
     tables = [
         b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-        for b in left_proj.union(right_proj)
-        .groupby("b")
-        .map_groups(bucket_diff, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow", batch_size=2**20)
+        for b in bucket_exchange(
+            [left_proj, right_proj],
+            "k",
+            bucket_diff,
+            schema=lambda s: pa.schema(
+                [("key", s.field("k").type), ("side", pa.string())]
+            ),
+            num_buckets=num_buckets,
+        ).iter_batches(batch_format="pyarrow", batch_size=2**20)
     ]
     tables = [t for t in tables if t.num_rows]
     if not tables:
@@ -401,7 +401,6 @@ def asof_join(
             f"(got {right_tiebreak!r})"
         )
     tol = pd.to_timedelta(tolerance) if tolerance is not None else None
-    nb = np.int64(resolve_num_buckets(left_ds, num_buckets))
 
     lsch, rsch = dataset_arrow_schema(left_ds), dataset_arrow_schema(right_ds)
     left_cols = list(lsch.names)
@@ -414,13 +413,10 @@ def asof_join(
     # typed from the right (on/by cast to the LEFT's types so keys meet
     # on one type).
     union_fields = [(c, lsch.field(c).type) for c in left_cols]
-    union_fields += [("__b", pa.int32()), ("__side", pa.int8())]
+    union_fields += [("__side", pa.int8())]
     union_fields += [(m_on, lsch.field(on).type)]
     union_fields += [(mv, rsch.field(v).type) for v, mv in m_vals.items()]
     union_schema = pa.schema(union_fields)
-
-    def _bucket(arr: pa.Array) -> pa.Array:
-        return pa.array((_key_hash(arr) % np.uint64(nb)).astype(np.int32))
 
     def project_left(t: pa.Table) -> pa.Table:
         # merge_asof rejects null merge keys: rows with a null on/by
@@ -430,12 +426,8 @@ def asof_join(
         t = t.filter(
             pc.and_(pc.is_valid(t[on]), pc.is_valid(t[by]))
         )
-        k = t[by]
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
         n = t.num_rows
         cols: dict[str, Any] = {c: t[c] for c in left_cols}
-        cols["__b"] = _bucket(k)
         cols["__side"] = pa.array(np.zeros(n, dtype=np.int8))
         cols[m_on] = pa.nulls(n, union_schema.field(m_on).type)
         for v, mv in m_vals.items():
@@ -454,7 +446,6 @@ def asof_join(
         cols = {}
         for c in left_cols:
             cols[c] = k if c == by else pa.nulls(n, union_schema.field(c).type)
-        cols["__b"] = _bucket(k)
         cols["__side"] = pa.array(np.ones(n, dtype=np.int8))
         cols[m_on] = pc.cast(
             t[r_on].combine_chunks()
@@ -543,28 +534,24 @@ def asof_join(
             out = _restore(out[out[m_on].notna()].copy())
         return out[out_cols] if len(out) else empty
 
-    # pin ONE Arrow output schema across bucket groups: inner matches
-    # carry the right types exactly; outer nulls live as Arrow nulls in
-    # the typed columns (never a float64/object upcast leaking across
-    # blocks). NaN/NaT from the pandas group fn convert to nulls here.
+    # ONE Arrow output schema across buckets: inner matches carry the
+    # right types exactly; outer nulls live as Arrow nulls in the typed
+    # columns (never a float64/object upcast leaking across blocks).
+    # NaN/NaT from the pandas group fn convert to nulls here.
     out_schema = pa.schema(
         [(c, lsch.field(c).type) for c in left_cols]
         + [(m_on, lsch.field(on).type)]
         + [(mv, rsch.field(v).type) for v, mv in m_vals.items()]
     )
 
-    def _canon(df: pd.DataFrame) -> pa.Table:
-        if not len(df):
-            return out_schema.empty_table()
+    def join_bucket(g: pa.Table, _b: int) -> pa.Table:
+        out = join_group(g.to_pandas())
         return pa.Table.from_pandas(
-            df[out_cols], schema=out_schema, preserve_index=False
-        )
+            out[out_cols], schema=out_schema, preserve_index=False
+        ).replace_schema_metadata(None)
 
-    return (
-        lp.union(rp)
-        .groupby("__b")
-        .map_groups(join_group, batch_format="pandas")
-        .map_batches(_canon, batch_format="pandas", batch_size=None)
+    return bucket_exchange(
+        [lp, rp], by, join_bucket, schema=out_schema, num_buckets=num_buckets
     )
 
 
@@ -1080,33 +1067,27 @@ def grouped_count_distinct(ds, key: str, value_col: str) -> pd.DataFrame:
     (/root/reference/src/app2/dds/source_suite/matches_source.py:18-52).
     """
 
-    nb = np.int64(32)
-
     def pairs(t: pa.Table) -> pa.Table:
-        d = t.select([key, value_col]).group_by([key, value_col]).aggregate([])
-        v = d[value_col]
-        if isinstance(v, pa.ChunkedArray):
-            v = v.combine_chunks()
-        # bucket on the VALUE: every copy of a (key, value) pair lands
-        # in one bucket (cross-batch dedup is local there) and a hot
-        # KEY's values still spread across all buckets
-        h = _key_hash(v)
-        return d.append_column(
-            "__b", pa.array((h % np.uint64(nb)).astype(np.int32))
-        )
+        return t.select([key, value_col]).group_by([key, value_col]).aggregate([])
 
-    def count_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def count_bucket(g: pa.Table, _b: int) -> pa.Table:
         d = g.group_by([key, value_col]).aggregate([])
         c = d.group_by(key).aggregate([(value_col, "count")])
         return pa.table(
             {key: c[key], "n_partial": c[f"{value_col}_count"].cast(pa.int64())}
         )
 
-    partials = (
-        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(count_bucket, batch_format="pyarrow")
+    # bucket on the VALUE: every copy of a (key, value) pair lands in one
+    # bucket (cross-batch dedup is local there) and a hot KEY's values
+    # still spread across all buckets
+    partials = bucket_exchange(
+        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
+        value_col,
+        count_bucket,
+        schema=lambda s: pa.schema(
+            [(key, s.field(key).type), ("n_partial", pa.int64())]
+        ),
+        num_buckets=32,
     )
     out = grouped_agg(partials, [key], {"n_distinct": ("n_partial", "sum")})
     out["n_distinct"] = out["n_distinct"].astype("int64")
@@ -1373,7 +1354,7 @@ def grouped_zscore_outliers(
             key: pa.array(keys_out),
             "__n": pa.array(nn, pa.int64()),
             "__s1": pa.array(ss, pa.int64()),
-            "__b": pa.array(bb, pa.int64()),
+            "__bound": pa.array(bb, pa.int64()),
         }
     )
 
@@ -1385,7 +1366,7 @@ def grouped_zscore_outliers(
         idx = pc.index_in(c, value_set=lkt[key])
         n_arr = lkt["__n"].take(idx).to_numpy(zero_copy_only=False)
         s_arr = lkt["__s1"].take(idx).to_numpy(zero_copy_only=False)
-        b_arr = lkt["__b"].take(idx).to_numpy(zero_copy_only=False)
+        b_arr = lkt["__bound"].take(idx).to_numpy(zero_copy_only=False)
         x = t[value_col]
         if isinstance(x, pa.ChunkedArray):
             x = x.combine_chunks()
@@ -1433,25 +1414,16 @@ def rolling_window_agg(
     """
     from ..functions.grouping import run_starts
 
-    nb = np.int64(resolve_num_buckets(ds, num_buckets))
     keep = [key, ts_col, value_col] + [
         c for c in (out_cols or []) if c not in (key, ts_col, value_col)
     ]
 
     def project(t: pa.Table) -> pa.Table:
-        t = t.select(keep).filter(
+        return t.select(keep).filter(
             pc.and_(pc.is_valid(t[key]), pc.is_valid(t[ts_col]))
         )
-        k = t[key]
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
-        h = _key_hash(k)
-        return t.append_column(
-            "__b", pa.array((h % np.uint64(nb)).astype(np.int32))
-        )
 
-    def window_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def window_bucket(g: pa.Table, _b: int) -> pa.Table:
         g = g.take(
             pc.sort_indices(
                 g, sort_keys=[(key, "ascending"), (ts_col, "ascending")]
@@ -1494,25 +1466,183 @@ def rolling_window_agg(
 
     # LAZY: one output row per input row — never collect this on the
     # driver at scale; write_parquet it, or collect_sorted() small ones.
-    return (
-        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(window_bucket, batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        key,
+        window_bucket,
+        schema=lambda s: pa.schema(
+            [s.field(c) for c in keep]
+            + [("w_count", pa.int64()), ("w_sum", pa.int64())]
+        ),
+        num_buckets=num_buckets,
     )
 
 
-def tag_bucket(t: pa.Table, col: str, num_buckets: int, *, out_col: str = "__b") -> pa.Table:
-    """Append the hash-bucket column ``out_col`` = hash(t[col]) %
-    num_buckets (int32). The one shared implementation of the bucket
-    idiom — note the np.uint64 modulus: uint64 % int64 silently
-    promotes to float64 in numpy, which would make fractional buckets."""
-    k = t[col]
-    if isinstance(k, pa.ChunkedArray):
-        k = k.combine_chunks()
-    h = _key_hash(k)
-    return t.append_column(
-        out_col, pa.array((h % np.uint64(np.int64(num_buckets))).astype(np.int32))
+_BUCKET, _ROWS = "__b", "__rows"
+_ENVELOPE = pa.schema([(_BUCKET, pa.int32()), (_ROWS, pa.large_binary())])
+
+
+def key_buckets(arr, num_buckets: int) -> np.ndarray:
+    """int32 ``hash(arr) % num_buckets``: the bucket a key value lands in
+    under :func:`bucket_exchange`. For ``key`` callables that route by a
+    derived value. The modulus is np.uint64: uint64 % int64 silently
+    promotes to float64 in numpy."""
+    return (_key_hash(arr) % np.uint64(num_buckets)).astype(np.int32)
+
+
+def _ipc(t: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+def _conform(out: pa.Table, schema: pa.Schema, site: str) -> pa.Table:
+    got = out.schema
+    if got.names != schema.names or any(
+        a.type != b.type for a, b in zip(got, schema)
+    ):
+        raise ValueError(
+            f"bucket_exchange: reducer {site} returned\n{got}\n"
+            f"which does not match the declared schema\n{schema}"
+        )
+    return pa.Table.from_arrays(out.columns, schema=schema)
+
+
+def bucket_exchange(ds, key, reduce, *, schema, num_buckets=None):
+    """The hash-bucket exchange, stated once: every row of ``ds`` goes
+    to one of ``num_buckets`` buckets, and ``reduce(rows, bucket)`` runs
+    once per non-empty bucket on all of its rows. Returns a lazy Dataset.
+
+    ``ds``: a Dataset, or a list of Datasets co-grouped as one (a
+    tagged union whose inputs share a schema): each input is packed in
+    its own tasks, fused with its last map.
+
+    ``key``: a column name — the bucket is ``hash(key) % num_buckets``
+    (``_key_hash``, so rows of one key value meet in one bucket) — or a
+    callable ``key(batch, num_buckets) -> int array`` for sites that
+    choose their own buckets (range buckets, salted hot-key buckets);
+    its values must lie in ``[0, num_buckets)``.
+
+    ``reduce(rows, bucket)``: ``rows`` is a pyarrow Table of the
+    bucket's rows, without any bucket column; ``bucket`` is the int
+    bucket id (sites that need a fixed float-fold order sort their
+    partials by it). It returns a pyarrow Table whose column names and
+    types are exactly the declared schema; any other output raises
+    ValueError naming the reducer.
+
+    ``schema``: the output ``pa.Schema``, or a function from the input
+    rows' schema to it (for generic operators whose output types follow
+    their input's; such an exchange cannot type a zero-row input).
+
+    Typed output: each range of buckets leaves a block of the schema
+    even when it has no rows, so an empty result is still a Dataset of
+    that schema and the exchange never emits a schema-less block.
+    ``num_buckets`` resolves through :func:`resolve_num_buckets`.
+
+    Physically one sort-based exchange, the shape of
+    ``groupby().map_groups``: each input batch packs into envelope rows
+    of (bucket, that bucket's rows as Arrow IPC), the envelopes sort
+    into ranges of buckets, and each range's task unpacks and reduces
+    its buckets in order. Ray runs no UDF on an empty block and its
+    sort leaves a schema-less block for an empty range, so one sentinel
+    envelope per range keeps every range's task running. An exchange
+    applied directly to another's output packs inside that one's reduce
+    task (no separate map between them)."""
+    import ray.data as rd
+
+    inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
+    whole = inputs[0].union(*inputs[1:]) if len(inputs) > 1 else inputs[0]
+    nb = resolve_num_buckets(whole, num_buckets)
+    site = getattr(reduce, "__qualname__", repr(reduce))
+    try:
+        n_in = int(whole._plan.initial_num_blocks() or 1)
+    except Exception:
+        n_in = 1
+    ranges = max(1, min(nb, n_in))
+    # envelope key: 2*bucket + 1 for a bucket's rows, 2*low for the meta
+    # rows of the range that starts at bucket `low` (its sentinel and,
+    # under a schema function, the input schema), so a range sorts as
+    # its meta rows, then each bucket's rows
+    lows = np.array([2 * (nb * i // ranges) for i in range(ranges)], np.int32)
+    fixed = isinstance(schema, pa.Schema)
+
+    def pack(t: pa.Table) -> pa.Table:
+        t = t.replace_schema_metadata(None)
+        keys, payload = [], []
+        if t.num_rows:
+            if callable(key):
+                b = np.asarray(key(t, nb)).astype(np.int32)
+            else:
+                b = key_buckets(t[key], nb)
+            order = np.argsort(b, kind="stable")
+            b = b[order]
+            t = t.take(pa.array(order))
+            cuts = np.flatnonzero(np.diff(b)) + 1
+            starts, ends = np.r_[0, cuts], np.r_[cuts, len(b)]
+            keys = list(2 * b[starts] + 1)
+            payload = [_ipc(t.slice(lo, hi - lo)) for lo, hi in zip(starts, ends)]
+        if not fixed and t.num_columns:
+            # every range learns the input schema, so a range without
+            # rows can still type its empty block
+            keys += list(lows)
+            payload += [_ipc(t.schema.empty_table())] * ranges
+        return pa.table(
+            [pa.array(keys, pa.int32()), pa.array(payload, pa.large_binary())],
+            schema=_ENVELOPE,
+        )
+
+    def reduce_range(env: pa.Table) -> pa.Table:
+        k = env[_BUCKET].to_numpy()
+        rows = env[_ROWS].combine_chunks()
+        out_schema, outs = (schema if fixed else None), []
+        if out_schema is None:
+            meta = np.flatnonzero((k % 2 == 0) & rows.is_valid().to_numpy(False))
+            if not len(meta):  # zero-row input under a schema function
+                return pa.table({})
+            in_schema = pa.ipc.open_stream(rows[int(meta[0])].as_buffer()).schema
+            out_schema = schema(in_schema)
+        data = np.flatnonzero(k % 2 == 1)
+        cuts = np.flatnonzero(np.diff(k[data])) + 1
+        for run in np.split(data, cuts) if len(data) else []:
+            g = pa.concat_tables(
+                [pa.ipc.open_stream(rows[int(i)].as_buffer()).read_all() for i in run],
+                promote_options="default",
+            )
+            outs.append(_conform(reduce(g, int(k[run[0]]) // 2), out_schema, site))
+        return pa.concat_tables([out_schema.empty_table()] + outs)
+
+    def packed(d):
+        prev = getattr(d, "_bucket_exchange_tail", None)
+        if prev is None:
+            return d.map_batches(pack, batch_format="pyarrow", zero_copy_batch=True)
+        # a chained exchange packs inside the previous one's reduce
+        # task, so even a range that reduced to no rows hands the sort
+        # a typed (envelope) block rather than an empty one
+        prev_envs, prev_reduce = prev
+
+        def repack(env: pa.Table):
+            yield pack(prev_reduce(env))
+
+        return prev_envs.map_batches(repack, batch_format="pyarrow", batch_size=None)
+
+    sentinels = rd.from_arrow(
+        pa.table([lows, pa.nulls(ranges, pa.large_binary())], schema=_ENVELOPE)
     )
+    envs = (
+        packed(inputs[0])
+        .union(*map(packed, inputs[1:]), sentinels)
+        .sort(_BUCKET, boundaries=lows[1:].tolist())
+    )
+
+    def unpack_reduce(env: pa.Table):
+        # a generator, so a reducer's ValueError reaches the caller as
+        # itself rather than wrapped as a UDF failure
+        yield reduce_range(env)
+
+    out = envs.map_batches(unpack_reduce, batch_format="pyarrow", batch_size=None)
+    out._bucket_exchange_tail = (envs, reduce_range)
+    return out
 
 
 def resolve_num_buckets(ds, requested=None, *, floor: int = 32) -> int:
@@ -1561,7 +1691,10 @@ def bucketed_group_agg(
     pa.Table -> pa.Table applied AFTER the in-bucket aggregate —
     per-key rows of one key land in exactly one bucket, so key-level
     post-processing (filters, flags, second-stage partials) is correct
-    there and shrinks what leaves the bucket. Returns a Dataset.
+    there and shrinks what leaves the bucket; it must accept an empty
+    table, from which the output schema is taken. ``ds`` may be a list
+    of Datasets, co-grouped as in :func:`bucket_exchange`. Returns a
+    Dataset.
     """
     cols = [c for c, _f in aggs]
     if len(set(cols)) != len(cols):
@@ -1570,13 +1703,7 @@ def bucketed_group_agg(
             "so aggregating one column twice collides — alias the column "
             f"first (got {cols})"
         )
-    num_buckets = resolve_num_buckets(ds, num_buckets)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return tag_bucket(t, key, num_buckets)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def reduce_bucket(g: pa.Table, _b: int = 0) -> pa.Table:
         agged = g.group_by(key).aggregate(aggs)
         # rebuild by NAME (pyarrow appends key columns last)
         out = pa.table(
@@ -1584,10 +1711,12 @@ def bucketed_group_agg(
         )
         return post(out) if post is not None else out
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    return bucket_exchange(
+        ds,
+        key,
+        reduce_bucket,
+        schema=lambda s: reduce_bucket(s.empty_table()).schema,
+        num_buckets=num_buckets,
     )
 
 
@@ -1660,9 +1789,12 @@ def fact_dim_cogroup(
         t = t.filter(present)
         return post(t) if post is not None else t
 
-    both = fact_parts_ds.map_batches(
-        pad_fact, batch_format="pyarrow", zero_copy_batch=True
-    ).union(dim_ds.map_batches(pad_dim, batch_format="pyarrow"))
+    both = [
+        fact_parts_ds.map_batches(
+            pad_fact, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        dim_ds.map_batches(pad_dim, batch_format="pyarrow"),
+    ]
     return bucketed_group_agg(
         both,
         key,
@@ -1705,7 +1837,6 @@ def funnel_counts(
     if len(step_idx) != len(steps):
         raise ValueError("funnel_counts: steps must be distinct")
     steps_arr = pa.array(steps, pa.string())
-    num_buckets = resolve_num_buckets(ds, num_buckets)
 
     def project(t: pa.Table) -> pa.Table:
         t = t.filter(
@@ -1718,13 +1849,10 @@ def funnel_counts(
         if isinstance(typ, pa.ChunkedArray):
             typ = typ.combine_chunks()
         sidx = pc.index_in(typ, value_set=steps_arr).cast(pa.int8())
-        out = pa.table(
-            {user_col: t[user_col], ts_col: t[ts_col], "__s": sidx}
-        )
-        return tag_bucket(out, user_col, num_buckets)
+        return pa.table({user_col: t[user_col], ts_col: t[ts_col], "__s": sidx})
 
-    def bucket_counts(g: pa.Table) -> pa.Table:
-        df = g.drop_columns(["__b"]).to_pandas()
+    def bucket_counts(g: pa.Table, _b: int) -> pa.Table:
+        df = g.to_pandas()
         counts = []
         # per-user running threshold; step i keeps users whose first
         # qualifying event exists at-or-after their step-(i-1) time
@@ -1743,12 +1871,13 @@ def funnel_counts(
             }
         )
 
-    parts = (
-        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(bucket_counts, batch_format="pyarrow")
-        .to_pandas()
-    )
+    parts = bucket_exchange(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        user_col,
+        bucket_counts,
+        schema=pa.schema([("step", pa.int64()), ("n_users", pa.int64())]),
+        num_buckets=num_buckets,
+    ).to_pandas()
     if not len(parts):  # no step-typed events at all -> all-zero funnel
         return pd.DataFrame(
             {
@@ -1790,8 +1919,6 @@ def grouped_mode(
     """
     from ..functions.grouping import run_starts
 
-    num_buckets = resolve_num_buckets(ds, num_buckets)
-
     def cells(t: pa.Table) -> pa.Table:
         k = t[key]
         if isinstance(k, pa.ChunkedArray):
@@ -1803,17 +1930,15 @@ def grouped_mode(
             )
         t = t.select([key, value_col]).filter(pc.is_valid(t[value_col]))
         g = t.group_by([key, value_col]).aggregate([(value_col, "count")])
-        out = pa.table(
+        return pa.table(
             {
                 key: g[key],
                 value_col: g[value_col],
                 "cnt": g[f"{value_col}_count"].cast(pa.int64()),
             }
         )
-        return tag_bucket(out, key, num_buckets)
 
-    def pick(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def pick(g: pa.Table, _b: int) -> pa.Table:
         m = g.group_by([key, value_col]).aggregate([("cnt", "sum")])
         m = m.take(
             pc.sort_indices(
@@ -1838,12 +1963,19 @@ def grouped_mode(
             }
         )
 
-    out = (
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(pick, batch_format="pyarrow")
-        .to_pandas()
-    )
+    out = bucket_exchange(
+        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
+        key,
+        pick,
+        schema=lambda s: pa.schema(
+            [
+                (key, s.field(key).type),
+                ("mode", s.field(value_col).type),
+                ("mode_count", pa.int64()),
+            ]
+        ),
+        num_buckets=num_buckets,
+    ).to_pandas()
     return out.sort_values(key, kind="mergesort").reset_index(drop=True)
 
 
@@ -2112,18 +2244,9 @@ def grouped_lag_delta_stats(
     """
     from ..functions.grouping import run_starts
 
-    nb = np.int64(resolve_num_buckets(ds, num_buckets))
-
     def project(t: pa.Table) -> pa.Table:
-        t = t.select([key, ts_col, tiebreak_col]).filter(
+        return t.select([key, ts_col, tiebreak_col]).filter(
             pc.and_(pc.is_valid(t[key]), pc.is_valid(t[ts_col]))
-        )
-        k = t[key]
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
-        h = _key_hash(k)
-        return t.append_column(
-            "__b", pa.array((h % np.uint64(nb)).astype(np.int32))
         )
 
     def _empty(key_type: pa.DataType) -> pa.Table:
@@ -2137,8 +2260,7 @@ def grouped_lag_delta_stats(
             }
         )
 
-    def bucket_stats(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def bucket_stats(g: pa.Table, _b: int) -> pa.Table:
         g = g.take(
             pc.sort_indices(
                 g,
@@ -2187,10 +2309,12 @@ def grouped_lag_delta_stats(
 
     # LAZY (one row per key): collect_sorted() for small results,
     # write_parquet when the key domain is large.
-    return (
-        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(bucket_stats, batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        key,
+        bucket_stats,
+        schema=lambda s: _empty(s.field(key).type).schema,
+        num_buckets=num_buckets,
     )
 
 
@@ -2219,18 +2343,9 @@ def grouped_transition_counts(
     """
     from ..functions.grouping import run_starts
 
-    nb = np.int64(resolve_num_buckets(ds, num_buckets))
-
     def project(t: pa.Table) -> pa.Table:
-        t = t.select([key, ts_col, tiebreak_col, value_col]).filter(
+        return t.select([key, ts_col, tiebreak_col, value_col]).filter(
             pc.and_(pc.is_valid(t[key]), pc.is_valid(t[ts_col]))
-        )
-        k = t[key]
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
-        h = _key_hash(k)
-        return t.append_column(
-            "__b", pa.array((h % np.uint64(nb)).astype(np.int32))
         )
 
     def _empty(vtype: pa.DataType) -> pa.Table:
@@ -2242,8 +2357,7 @@ def grouped_transition_counts(
             }
         )
 
-    def bucket_pairs(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def bucket_pairs(g: pa.Table, _b: int) -> pa.Table:
         g = g.take(
             pc.sort_indices(
                 g,
@@ -2278,10 +2392,12 @@ def grouped_transition_counts(
         )
         return agged.rename_columns(["from_value", "to_value", "n"])
 
-    pairs = (
-        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+    pairs = bucket_exchange(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        key,
+        bucket_pairs,
+        schema=lambda s: _empty(s.field(value_col).type).schema,
+        num_buckets=num_buckets,
     )
     return grouped_agg(pairs, ["from_value", "to_value"], {"n": ("n", "sum")})
 
@@ -2630,10 +2746,7 @@ def pack_concat_chunks(
             ],
             num_buckets=num_buckets,
         )
-    nb = resolve_num_buckets(partials, num_buckets)
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def reduce_bucket(g: pa.Table, _b: int = 0) -> pa.Table:
         agged = g.group_by([group_col, "bin_id"]).aggregate(
             [
                 ("n_docs", "sum"),
@@ -2653,14 +2766,12 @@ def pack_concat_chunks(
             }
         )
 
-    return (
-        partials.map_batches(
-            lambda t: tag_bucket(t, "bin_id", nb),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    return bucket_exchange(
+        partials,
+        "bin_id",
+        reduce_bucket,
+        schema=lambda s: reduce_bucket(s.empty_table()).schema,
+        num_buckets=num_buckets,
     )
 
 
@@ -2700,25 +2811,17 @@ def key_value_diff(
     """
     from ..functions.hashing import hash_string_array
 
-    nb = resolve_num_buckets(left_ds, num_buckets)
-
     def project(side_code: int):
         def fn(t: pa.Table) -> pa.Table:
-            k = t[key_col]
-            if isinstance(k, pa.ChunkedArray):
-                k = k.combine_chunks()
-            k = pc.cast(k, pa.int64())
+            k = pc.cast(t[key_col], pa.int64())
             h = hash_string_array(t[value_col]).view(np.int64)
-            out = pa.table(
+            return pa.table(
                 {
                     "k": k,
                     "h": pa.array(h),
-                    "s": pa.array(
-                        np.full(len(k), side_code, dtype=np.int8), pa.int8()
-                    ),
+                    "s": pa.array(np.full(len(k), side_code, np.int8)),
                 }
             )
-            return tag_bucket(out, "k", nb)
 
         return fn
 
@@ -2729,8 +2832,16 @@ def key_value_diff(
         project(1), batch_format="pyarrow", zero_copy_batch=True
     )
     STATUSES = ("equal", "changed", "left_only", "right_only")
+    schema = pa.schema(
+        [
+            ("status", pa.string()),
+            ("n_keys", pa.int64()),
+            ("key_min", pa.int64()),
+            ("key_max", pa.int64()),
+        ]
+    )
 
-    def bucket_cmp(g: pa.Table) -> pa.Table:
+    def bucket_cmp(g: pa.Table, _b: int) -> pa.Table:
         k = g["k"].combine_chunks().to_numpy(zero_copy_only=False)
         h = g["h"].combine_chunks().to_numpy(zero_copy_only=False)
         s = g["s"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -2758,47 +2869,28 @@ def key_value_diff(
             )
         st[~single] = np.where(h[two] == h[two + 1], 0, 1)  # equal / changed
         kk = k[starts]
-        rows = []
-        for code, name in enumerate(STATUSES):
-            m = st == code
-            if m.any():
-                rows.append(
-                    (name, int(m.sum()), int(kk[m].min()), int(kk[m].max()))
-                )
-        if not rows:
-            return pa.table(
-                {
-                    "status": pa.array([], pa.string()),
-                    "n_keys": pa.array([], pa.int64()),
-                    "key_min": pa.array([], pa.int64()),
-                    "key_max": pa.array([], pa.int64()),
-                }
-            )
-        names, ns, mins, maxs = zip(*rows)
-        return pa.table(
+        rows = [
             {
-                "status": pa.array(list(names)),
-                "n_keys": pa.array(list(ns), pa.int64()),
-                "key_min": pa.array(list(mins), pa.int64()),
-                "key_max": pa.array(list(maxs), pa.int64()),
+                "status": name,
+                "n_keys": int(m.sum()),
+                "key_min": int(kk[m].min()),
+                "key_max": int(kk[m].max()),
             }
-        )
+            for code, name in enumerate(STATUSES)
+            if (m := st == code).any()
+        ]
+        return pa.Table.from_pylist(rows, schema=schema)
 
-    partials = (
-        left_proj.union(right_proj)
-        .groupby("__b")
-        .map_groups(bucket_cmp, batch_format="pyarrow")
-        .to_pandas()  # bounded: <= 4 rows per bucket
+    partials = collect_sorted(  # bounded: <= 4 rows per bucket
+        bucket_exchange(
+            [left_proj, right_proj],
+            "k",
+            bucket_cmp,
+            schema=schema,
+            num_buckets=num_buckets,
+        ),
+        ["status"],
     )
-    if not len(partials):
-        return pd.DataFrame(
-            {
-                "status": pd.Series([], dtype=object),
-                "n_keys": pd.Series([], dtype="int64"),
-                "key_min": pd.Series([], dtype="int64"),
-                "key_max": pd.Series([], dtype="int64"),
-            }
-        )
     out = (
         partials.groupby("status", sort=True)
         .agg(
@@ -2952,28 +3044,16 @@ def max_run_histogram(
     /root/reference/src/app2/validators/dds/rules_suite/season_round_robin.py)
     re-expressed as a distributed windowing primitive.
     """
-    num_buckets = resolve_num_buckets(ds, num_buckets)
-
     def partial(t: pa.Table) -> pa.Table:
-        g = (
+        return (
             pa.table({key: t[key], val_col: t[val_col]})
             .group_by([key, val_col])
             .aggregate([])
         )
-        return tag_bucket(g, key, num_buckets)
 
-    empty = pa.table(
-        {
-            len_col: pa.array([], pa.int64()),
-            count_col: pa.array([], pa.int64()),
-        }
-    )
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         k = g[key].to_numpy(zero_copy_only=False).astype(np.int64)
         v = g[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(k) == 0:
-            return empty
         order = np.lexsort((v, k))
         k = k[order]
         v = v[order]
@@ -3006,28 +3086,14 @@ def max_run_histogram(
             }
         )
 
-    import ray.data as rd
-
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(
-            lambda t: reduce_bucket(t.drop_columns(["__b"])),
-            batch_format="pyarrow",
-        )
-        # an all-empty input yields ZERO output blocks and a schemaless
-        # dataset (Ray drops columns); union a typed empty block so the
-        # collect below always sees the result schema
-        .union(rd.from_arrow(empty))
+    out = bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        key,
+        reduce_bucket,
+        schema=pa.schema([(len_col, pa.int64()), (count_col, pa.int64())]),
+        num_buckets=num_buckets,
     )
     df = collect_sorted(out, [len_col])
-    if df.empty:
-        return pd.DataFrame(
-            {
-                len_col: pd.Series([], dtype="int64"),
-                count_col: pd.Series([], dtype="int64"),
-            }
-        )
     df = df.groupby(len_col, as_index=False)[count_col].sum()
     df[count_col] = df[count_col].astype("int64")
     return df.sort_values(len_col).reset_index(drop=True)
@@ -3060,7 +3126,14 @@ def grouped_topk_distinct(
     rule)."""
     if k < 1:
         raise ValueError(f"grouped_topk_distinct: k must be >= 1, got {k}")
-    num_buckets = resolve_num_buckets(ds, num_buckets)
+    schema = pa.schema(
+        [
+            (key, dataset_arrow_schema(ds).field(key).type),
+            (val_col, pa.int64()),
+            ("n", pa.int64()),
+            ("rk", pa.int64()),
+        ]
+    )
 
     def dense_cut(
         kk: np.ndarray, vv: np.ndarray, nn: np.ndarray
@@ -3096,44 +3169,24 @@ def grouped_topk_distinct(
         vv = g[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
         nn = g["__one_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
         kk2, vv2, nn2, _rk = dense_cut(kk, vv, nn)
-        out = pa.table(
+        return pa.table(
             {key: pa.array(kk2), val_col: pa.array(vv2), "n": pa.array(nn2)}
         )
-        return tag_bucket(out, key, num_buckets)
 
-    empty = pa.table(
-        {
-            key: pa.array([], dataset_arrow_schema(ds).field(key).type),
-            val_col: pa.array([], pa.int64()),
-            "n": pa.array([], pa.int64()),
-            "rk": pa.array([], pa.int64()),
-        }
-    )
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         # merge per-batch counts for the same (key, val), then cut
         m = g.group_by([key, val_col]).aggregate([("n", "sum")])
         kk = m[key].to_numpy(zero_copy_only=False)
         vv = m[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
         nn = m["n_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-        kk2, vv2, nn2, rk = dense_cut(kk, vv, nn)
-        return pa.table(
-            {
-                key: pa.array(kk2),
-                val_col: pa.array(vv2),
-                "n": pa.array(nn2),
-                "rk": pa.array(rk),
-            }
-        )
+        return pa.table(list(dense_cut(kk, vv, nn)), schema=schema)
 
-    import ray.data as rd
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .union(rd.from_arrow(empty))
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        key,
+        reduce_bucket,
+        schema=schema,
+        num_buckets=num_buckets,
     )
 
 
@@ -3162,7 +3215,6 @@ def conversion_within(
     Each bucket emits (day, n_from, n_converted) partials; the driver
     folds a bounded day axis. K = time span + 2 is guarded against
     int64 overflow loudly (bucket user count x span must fit)."""
-    num_buckets = resolve_num_buckets(ds, num_buckets)
     US_PER_DAY = np.int64(86_400_000_000)
 
     def project(t: pa.Table) -> pa.Table:
@@ -3177,30 +3229,18 @@ def conversion_within(
         # arrives as timestamp[ns], parquet as timestamp[us]
         if pa.types.is_timestamp(ts.type) and ts.type.unit != "us":
             ts = ts.cast(pa.timestamp("us"))
-        out = pa.table(
+        return pa.table(
             {
                 user_col: pc.cast(t[user_col], pa.int64()),
                 "ts": ts.cast(pa.int64()),
                 "is_to": pc.cast(pc.equal(t[type_col], to_type), pa.int8()),
             }
         )
-        return tag_bucket(out, user_col, num_buckets)
 
-    empty = pa.table(
-        {
-            "day": pa.array([], pa.int64()),
-            "n_from": pa.array([], pa.int64()),
-            "n_converted": pa.array([], pa.int64()),
-        }
-    )
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def reduce_bucket(g: pa.Table, _b: int) -> pa.Table:
         users = g[user_col].to_numpy(zero_copy_only=False)
         ts = g["ts"].to_numpy(zero_copy_only=False)
         is_to = g["is_to"].to_numpy(zero_copy_only=False).astype(bool)
-        if len(users) == 0:
-            return empty
         tmin = int(ts.min())
         rel = ts - tmin
         span = int(rel.max()) + 2
@@ -3237,23 +3277,16 @@ def conversion_within(
             }
         )
 
-    import ray.data as rd
-
-    parts = (
-        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .union(rd.from_arrow(empty))
+    parts = bucket_exchange(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        user_col,
+        reduce_bucket,
+        schema=pa.schema(
+            [(c, pa.int64()) for c in ("day", "n_from", "n_converted")]
+        ),
+        num_buckets=num_buckets,
     )
     df = collect_sorted(parts, ["day"])
-    if df.empty:
-        return pd.DataFrame(
-            {
-                "day": pd.Series([], dtype="int64"),
-                "n_from": pd.Series([], dtype="int64"),
-                "n_converted": pd.Series([], dtype="int64"),
-            }
-        )
     df = df.groupby("day", as_index=False).agg(
         n_from=("n_from", "sum"), n_converted=("n_converted", "sum")
     )
@@ -3356,43 +3389,12 @@ def key_containment(
     when containment is poor). Integer keys meet on int64; both sides
     dedup per batch before the shuffle. Returns
     (n_child_distinct, n_contained)."""
-    nb = np.int64(resolve_num_buckets(child_ds, num_buckets))
+    child_proj = _side_keys(child_ds, child_key, 0)
+    parent_proj = _side_keys(parent_ds, parent_key, 1)
 
-    def project(side_code: int, key_col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            k = t[key_col]
-            if isinstance(k, pa.ChunkedArray):
-                k = k.combine_chunks()
-            if pa.types.is_integer(k.type):
-                k = pc.cast(k, pa.int64())
-            k = pc.unique(k.drop_null())
-            h = _key_hash(k)
-            return pa.table(
-                {
-                    "k": k,
-                    "s": pa.array(
-                        np.full(len(k), side_code, dtype=np.int8), pa.int8()
-                    ),
-                    "b": pa.array((h % np.uint64(nb)).astype(np.int32)),
-                }
-            )
-
-        return fn
-
-    child_proj = child_ds.map_batches(
-        project(0, child_key), batch_format="pyarrow"
-    )
-    parent_proj = parent_ds.map_batches(
-        project(1, parent_key), batch_format="pyarrow"
-    )
-
-    def bucket_counts(g: pa.Table) -> pa.Table:
-        k = g["k"]
-        s = g["s"]
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
-        if isinstance(s, pa.ChunkedArray):
-            s = s.combine_chunks()
+    def bucket_counts(g: pa.Table, _b: int) -> pa.Table:
+        k = g["k"].combine_chunks()
+        s = g["s"].combine_chunks()
         child = pc.unique(k.filter(pc.equal(s, 0)))
         parent = pc.unique(k.filter(pc.equal(s, 1)))
         contained = (
@@ -3407,12 +3409,13 @@ def key_containment(
             }
         )
 
-    rows = (
-        child_proj.union(parent_proj)
-        .groupby("b")
-        .map_groups(bucket_counts, batch_format="pyarrow")
-        .take_all()
-    )
+    rows = bucket_exchange(
+        [child_proj, parent_proj],
+        "k",
+        bucket_counts,
+        schema=pa.schema([("n_child", pa.int64()), ("n_contained", pa.int64())]),
+        num_buckets=num_buckets,
+    ).take_all()
     n_child = sum(r["n_child"] for r in rows)
     n_contained = sum(r["n_contained"] for r in rows)
     return int(n_child), int(n_contained)

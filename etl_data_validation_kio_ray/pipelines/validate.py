@@ -93,6 +93,7 @@ from ..stages.rule_engine import (
     PATH_COL,
     RuleEngine,
     file_partition,
+    gate_mask,
     rules_vocab_size,
 )
 from ..stages.uniqueness import (
@@ -733,8 +734,10 @@ class ValidationPipeline:
         if uniq_spec and uniq_spec.enabled:
             # partitions whose id hashes hold a candidate: only their
             # files need the confirm scan. A row gate hashes only the
-            # rows it passes, so then every file is scanned
+            # rows it passes, so then every file is scanned and the
+            # confirm counts only the rows the gate passes
             gate = self.rules.get("row_gate")
+            preds = gate.params.get("predicates", []) if gate and gate.enabled else []
             holders: set[str] | None = None if gate and gate.enabled else set()
             cand = _candidate_hashes(out_dir, owners, holders)
             uniq_dir = os.path.join(out_dir, "unique_violations")
@@ -745,13 +748,15 @@ class ValidationPipeline:
             # the violation rows; rows of a file without the column
             # count under its stem, as the rule engine keys them
             key_files, nbytes = (
-                _confirm_files(files, holders) if cand is not None and cand.num_rows else ({}, 0)
+                _confirm_files(files, holders, preds)
+                if cand is not None and cand.num_rows
+                else ({}, 0)
             )
             if key_files:
                 keys = (
-                    _read_keys(key_files)
+                    _read_keys(key_files, preds)
                     if nbytes <= DRIVER_UNIQUE_MAX_BYTES
-                    else _key_dataset(key_files)
+                    else _key_dataset(key_files, preds)
                 )
                 dup_table = confirm_duplicates(keys, cand, ID_COL, PARTITION_COL)
                 if dup_table.num_rows:
@@ -1129,15 +1134,16 @@ def _candidate_hashes(
 
 
 def _confirm_files(
-    files: dict[str, str], holders: set[str] | None
+    files: dict[str, str], holders: set[str] | None, preds=()
 ) -> tuple[dict[bool, list[str]], int]:
     """The input files the duplicate confirm must scan, by whether they
     carry a partition column, and the uncompressed size of their
-    ``doc_id``/``partition`` column chunks (footer). With ``holders``
-    (None: every file), a file whose footer shows it carries only its
-    own partition is scanned only when that partition holds a
-    candidate; any other file may hold rows keyed under any partition,
-    so it is scanned. An unreadable file carries no ids."""
+    ``doc_id``/``partition`` and row-gate ``preds`` column chunks
+    (footer). With ``holders`` (None: every file), a file whose footer
+    shows it carries only its own partition is scanned only when that
+    partition holds a candidate; any other file may hold rows keyed
+    under any partition, so it is scanned. An unreadable file carries
+    no ids, and a file without a gate column has all its rows gated."""
     import pyarrow.parquet as pq
 
     key_files: dict[bool, list[str]] = {}
@@ -1148,7 +1154,7 @@ def _confirm_files(
         except Exception:  # noqa: BLE001 — unreadable file
             continue
         names = set(md.schema.to_arrow_schema().names)
-        if ID_COL not in names:
+        if ID_COL not in names or not _gate_cols(preds) <= names:
             continue
         if (
             holders is not None
@@ -1157,9 +1163,8 @@ def _confirm_files(
         ):
             continue
         key_files.setdefault(PARTITION_COL in names, []).append(f)
-        cols = [
-            j for j in range(md.num_columns) if md.schema.column(j).path in (ID_COL, PARTITION_COL)
-        ]
+        want = {ID_COL, PARTITION_COL} | _gate_cols(preds)
+        cols = [j for j in range(md.num_columns) if md.schema.column(j).path in want]
         nbytes += sum(
             md.row_group(i).column(j).total_uncompressed_size
             for i in range(md.num_row_groups)
@@ -1168,33 +1173,57 @@ def _confirm_files(
     return key_files, nbytes
 
 
-def _read_keys(key_files: dict[bool, list[str]]) -> pa.Table:
-    """(doc_id, partition) of the given files, read on the driver."""
+def _gate_cols(preds) -> set[str]:
+    return {col for col, _op, _value in preds}
+
+
+def _gated(t: pa.Table, preds) -> pa.Table:
+    """The rows of ``t`` the row gate ``preds`` passes (all if none)."""
+    return t.filter(pa.array(gate_mask(t, preds)[0])) if preds else t
+
+
+def _read_keys(key_files: dict[bool, list[str]], preds=()) -> pa.Table:
+    """(doc_id, partition) of the rows of the given files that the row
+    gate ``preds`` passes, read on the driver."""
     import pyarrow.parquet as pq
 
+    gcols = sorted(_gate_cols(preds) - {ID_COL, PARTITION_COL})
     tables = []
     for has, fs in sorted(key_files.items(), reverse=True):
         for f in fs:
             if has:
-                t = pq.ParquetFile(f).read(columns=[ID_COL, PARTITION_COL])
-                tables.append(t.select([ID_COL, PARTITION_COL]))
+                t = pq.ParquetFile(f).read(columns=[ID_COL, PARTITION_COL, *gcols])
+                tables.append(_gated(t, preds).select([ID_COL, PARTITION_COL]))
             else:
-                ids = pq.ParquetFile(f).read(columns=[ID_COL])[ID_COL]
+                t = pq.ParquetFile(f).read(columns=[ID_COL, *gcols])
+                ids = _gated(t, preds)[ID_COL]
                 stems = pa.array([file_partition(f)] * len(ids), pa.string())
                 tables.append(pa.table({ID_COL: ids, PARTITION_COL: stems}))
     return pa.concat_tables(tables)
 
 
-def _key_dataset(key_files: dict[bool, list[str]]):
-    """(doc_id, partition) of the given files, as one Ray Dataset."""
+def _key_dataset(key_files: dict[bool, list[str]], preds=()):
+    """(doc_id, partition) of the rows of the given files that the row
+    gate ``preds`` passes, as one Ray Dataset."""
     import ray.data as rd
 
+    gcols = sorted(_gate_cols(preds) - {ID_COL, PARTITION_COL})
+
+    def read(fs, cols, **kw):
+        ds = rd.read_parquet(fs, columns=cols + gcols, **kw, **read_args(fs))
+        if preds:
+            keep = cols + ([PATH_COL] if kw else [])
+            ds = ds.map_batches(
+                lambda t: _gated(t, preds).select(keep), batch_format="pyarrow"
+            )
+        return ds
+
     first, *rest = (
-        rd.read_parquet(fs, columns=[ID_COL, PARTITION_COL], **read_args(fs))
+        read(fs, [ID_COL, PARTITION_COL])
         if has
-        else rd.read_parquet(
-            fs, columns=[ID_COL], include_paths=True, **read_args(fs)
-        ).map_batches(_partition_from_path, batch_format="pyarrow")
+        else read(fs, [ID_COL], include_paths=True).map_batches(
+            _partition_from_path, batch_format="pyarrow"
+        )
         for has, fs in sorted(key_files.items(), reverse=True)
     )
     return first.union(*rest) if rest else first

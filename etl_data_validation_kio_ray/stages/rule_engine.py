@@ -129,6 +129,65 @@ def _empty_like(n: int) -> dict[str, list]:
     return {k.name: [] for k in UNION_SCHEMA}
 
 
+_GATE_OPS = {
+    "==": pc.equal,
+    "!=": pc.not_equal,
+    "<": pc.less,
+    "<=": pc.less_equal,
+    ">": pc.greater,
+    ">=": pc.greater_equal,
+}
+
+
+def gate_mask(t: pa.Table, predicates) -> tuple[np.ndarray, np.ndarray]:
+    """The row gate, stated once for the engine and the duplicate
+    confirm: ``(keep, reason)`` where ``keep[i]`` iff row i satisfies
+    ALL ``predicates = [(col, op, value), ...]`` (op in ==, !=, <, <=,
+    >, >=, in, not_in, not_null) and ``reason[i]`` is the index of the
+    first predicate it fails (-1 if kept). A missing column or a null
+    predicate value fails its predicate."""
+    nrows = t.num_rows
+    keep = np.ones(nrows, dtype=bool)
+    reason = np.full(nrows, -1, dtype=np.int32)
+    for pi, (col, op, value) in enumerate(predicates):
+        if col not in t.column_names:
+            ok = np.zeros(nrows, dtype=bool)  # column gone: all gated
+        else:
+            arr = t[col].combine_chunks()
+            if op == "not_null":
+                m = pc.is_valid(arr)
+            elif op in ("in", "not_in"):
+                # INFERRED set type (numeric promotion compares exact
+                # values, so 2.5 or out-of-range ints simply match
+                # nothing — forcing arr.type would truncate or
+                # overflow); empty sets need the column type because
+                # pa.array([]) is null-typed. The whole construction
+                # sits in the try so mixed-type value lists also get
+                # the contextual error.
+                try:
+                    vs = pa.array(list(value)) if value else pa.array([], type=arr.type)
+                    m = pc.is_in(arr, value_set=vs)
+                except (
+                    pa.ArrowTypeError,
+                    pa.ArrowInvalid,
+                    pa.ArrowNotImplementedError,
+                ) as e:
+                    raise ValueError(
+                        f"row_gate: values {value!r} not comparable to "
+                        f"column {col!r} of type {arr.type}: {e}"
+                    ) from e
+                if op == "not_in":
+                    m = pc.invert(m)
+            elif op in _GATE_OPS:
+                m = _GATE_OPS[op](arr, pa.scalar(value))
+            else:
+                raise ValueError(f"row_gate: unknown op {op!r}")
+            ok = pc.fill_null(m, False).to_numpy(zero_copy_only=False)
+        reason[keep & ~ok] = pi
+        keep &= ok
+    return keep, reason
+
+
 class RuleEngine:
     """Per-batch-pure callable for ``map_batches(CachedEngineFn(RuleEngine,
     **engine_kwargs), batch_format='pyarrow')``: a fused task with the
@@ -338,72 +397,15 @@ class RuleEngine:
 
     # ------------------------------------------------------------- kernels
 
-    _GATE_OPS = {
-        "==": pc.equal,
-        "!=": pc.not_equal,
-        "<": pc.less,
-        "<=": pc.less_equal,
-        ">": pc.greater,
-        ">=": pc.greater_equal,
-    }
-
     def _rule_gate(self, sub: pa.Table, partition: str, out) -> pa.Table:
-        """Declarative row gate: keep rows satisfying ALL predicates
-        ``params['predicates'] = [(col, op, value), ...]`` with op in
-        ==, !=, <, <=, >, >=, in, not_in, not_null. Failing (or
+        """Declarative row gate (:func:`gate_mask`): failing (or
         null-predicate) rows are quarantined: emitted as violations,
         counted in the partial, and EXCLUDED from downstream rules."""
         t0 = time.perf_counter()
-        spec = self.rules["row_gate"]
-        preds = spec.params.get("predicates", [])
+        preds = self.rules["row_gate"].params.get("predicates", [])
         nrows = sub.num_rows
-        keep = np.ones(nrows, dtype=bool)
-        why: list[str] = []
-        per_row_reason = np.full(nrows, -1, dtype=np.int32)
-        for pi, (col, op, value) in enumerate(preds):
-            if col not in sub.column_names:
-                ok = np.zeros(nrows, dtype=bool)  # column gone: all gated
-            else:
-                arr = sub[col]
-                if isinstance(arr, pa.ChunkedArray):
-                    arr = arr.combine_chunks()
-                if op == "not_null":
-                    m = pc.is_valid(arr)
-                elif op in ("in", "not_in"):
-                    # INFERRED set type (numeric promotion compares
-                    # exact values, so 2.5 or out-of-range ints simply
-                    # match nothing — forcing arr.type would truncate
-                    # or overflow); empty sets need the column type
-                    # because pa.array([]) is null-typed. The whole
-                    # construction sits in the try so mixed-type value
-                    # lists also get the contextual error.
-                    try:
-                        vs = (
-                            pa.array(list(value))
-                            if value
-                            else pa.array([], type=arr.type)
-                        )
-                        m = pc.is_in(arr, value_set=vs)
-                    except (
-                        pa.ArrowTypeError,
-                        pa.ArrowInvalid,
-                        pa.ArrowNotImplementedError,
-                    ) as e:
-                        raise ValueError(
-                            f"row_gate: values {value!r} not comparable to "
-                            f"column {col!r} of type {arr.type}: {e}"
-                        ) from e
-                    if op == "not_in":
-                        m = pc.invert(m)
-                elif op in self._GATE_OPS:
-                    m = self._GATE_OPS[op](arr, pa.scalar(value))
-                else:
-                    raise ValueError(f"row_gate: unknown op {op!r}")
-                ok = pc.fill_null(m, False).to_numpy(zero_copy_only=False)
-            newly = keep & ~ok
-            per_row_reason[newly] = pi
-            keep &= ok
-            why.append(f"{col} {op} {value!r}")
+        keep, per_row_reason = gate_mask(sub, preds)
+        why = [f"{col} {op} {value!r}" for col, op, value in preds]
         gated = np.flatnonzero(~keep)
         if len(gated):
             ids_arr = (

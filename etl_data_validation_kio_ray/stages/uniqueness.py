@@ -173,45 +173,30 @@ def candidate_hashes_from_blobs(hash_ds, *, num_buckets: int = 256) -> pa.Table:
     a hash land in one ``h % num_buckets`` bucket, so one sort per
     bucket sees every occurrence.
 
-    Map-side partitioning: each input blob is split into per-bucket
-    sub-blobs BEFORE the exchange, so the ``groupby('b')`` shuffle sorts
-    only (#blobs x num_buckets) binary rows — never one row per id.
-    This is the classic shuffle-write layout expressed in Ray Data ops.
+    Each batch's blobs unpack to one int64 column, and
+    :func:`relational.bucket_exchange` packs that per bucket BEFORE the
+    shuffle, so the exchange sorts only (#batches x num_buckets)
+    envelope rows — never one row per id.
     """
-    nb = np.int64(num_buckets)
+    from ..pipelines.relational import bucket_exchange
 
-    def partition_blobs(t: pa.Table) -> pa.Table:
-        out_b: list[int] = []
-        out_p: list[bytes] = []
-        for blob in t["payload"].to_pylist():
-            if not blob:
-                continue
-            h = np.frombuffer(blob, dtype=np.int64)
-            b = (h % nb).astype(np.int32)
-            order = np.argsort(b, kind="stable")
-            hs, bs = h[order], b[order]
-            cuts = np.flatnonzero(np.diff(bs)) + 1
-            starts = np.concatenate(([0], cuts))
-            ends = np.concatenate((cuts, [len(bs)]))
-            for s, e in zip(starts, ends):
-                out_b.append(int(bs[s]))
-                out_p.append(hs[s:e].tobytes())
-        return pa.table(
-            {
-                "b": pa.array(out_b, pa.int32()),
-                "payload": pa.array(out_p, pa.binary()),
-            }
-        )
+    def unpack(t: pa.Table) -> pa.Table:
+        return pa.table({"h": pa.array(blob_hashes(t["payload"]), pa.int64())})
 
-    def bucket_dups(g: pa.Table) -> pa.Table:
-        h = blob_hashes(g["payload"])
+    def bucket_dups(g: pa.Table, _b: int) -> pa.Table:
+        h = g["h"].combine_chunks().to_numpy(zero_copy_only=False)
         return pa.table({"h": pa.array(dup_values(h), pa.int64())})
 
+    schema = pa.schema([("h", pa.int64())])
     return _collect(
-        hash_ds.map_batches(partition_blobs, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(bucket_dups, batch_format="pyarrow"),
-        pa.schema([("h", pa.int64())]),
+        bucket_exchange(
+            hash_ds.map_batches(unpack, batch_format="pyarrow"),
+            lambda t, nb: t["h"].to_numpy() % nb,
+            bucket_dups,
+            schema=schema,
+            num_buckets=num_buckets,
+        ),
+        schema,
     )
 
 

@@ -2721,3 +2721,136 @@ def test_storage_profile_multifile(ray_session, tmp_path):
         hb = byhand[("a", row["column"])]
         assert row["compressed"] == hb["compressed"]
         assert row["uncompressed"] == hb["uncompressed"]
+
+
+# ------------------------------------------------- bucket exchange contract
+
+
+@pytest.fixture()
+def one_cpu(ray_session):
+    """Ray Data executions limited to one CPU, the shape of a 1-CPU
+    session (one task at a time, ranges finishing in order)."""
+    from ray.data import DataContext, ExecutionResources
+
+    opts = DataContext.get_current().execution_options
+    prev = opts.resource_limits
+    opts.resource_limits = ExecutionResources(cpu=1)
+    yield
+    opts.resource_limits = prev
+
+
+EXCHANGE_SCHEMA = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+
+
+def _count_keys(rows: pa.Table, _b: int) -> pa.Table:
+    g = rows.group_by("k").aggregate([("k", "count")])
+    return pa.table([g["k"], g["k_count"]], schema=EXCHANGE_SCHEMA)
+
+
+def _exchange_input(keys: np.ndarray, blocks: int = 4):
+    import ray.data as rd
+
+    parts = np.array_split(keys.astype(np.int64), blocks)
+    return rd.from_arrow([pa.table({"k": pa.array(p, pa.int64())}) for p in parts])
+
+
+def _check_typed(out, expected: pd.DataFrame):
+    from etl_data_validation_kio_ray.pipelines.relational import (
+        collect_sorted,
+        dataset_arrow_schema,
+    )
+
+    assert dataset_arrow_schema(out) == EXCHANGE_SCHEMA
+    got = collect_sorted(out, ["k"])
+    assert list(got.columns) == ["k", "n"]
+    assert (got.dtypes == np.dtype("int64")).all()
+    exp = expected.sort_values("k").reset_index(drop=True).astype("int64")
+    pd.testing.assert_frame_equal(got, exp)
+
+
+def test_bucket_exchange_zero_row_input_is_typed(one_cpu):
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
+
+    out = bucket_exchange(
+        _exchange_input(np.array([], np.int64)), "k", _count_keys,
+        schema=EXCHANGE_SCHEMA, num_buckets=8,
+    )
+    _check_typed(out, pd.DataFrame({"k": [], "n": []}))
+
+
+@pytest.mark.parametrize(
+    "keys", [np.full(200, 7), np.array([42])], ids=["hot", "one_row"]
+)
+def test_bucket_exchange_hot_key_and_one_row(one_cpu, keys):
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
+
+    out = bucket_exchange(
+        _exchange_input(keys), "k", _count_keys, schema=EXCHANGE_SCHEMA, num_buckets=8
+    )
+    _check_typed(out, pd.DataFrame({"k": [int(keys[0])], "n": [len(keys)]}))
+
+
+def test_bucket_exchange_empty_buckets_and_bucket_id(one_cpu):
+    """A reducer that returns no rows for the even buckets: the result
+    is the odd buckets' keys, each bucket id is the one key_buckets
+    gives, and the dataset stays typed."""
+    from etl_data_validation_kio_ray.pipelines.relational import (
+        bucket_exchange,
+        key_buckets,
+    )
+
+    keys = np.arange(40, dtype=np.int64)
+    seen = key_buckets(pa.array(keys), 8)
+
+    def odd_only(rows: pa.Table, b: int) -> pa.Table:
+        ks = rows["k"].to_numpy()
+        assert (key_buckets(pa.array(ks), 8) == b).all()
+        return _count_keys(rows, b) if b % 2 else EXCHANGE_SCHEMA.empty_table()
+
+    out = bucket_exchange(
+        _exchange_input(keys), "k", odd_only, schema=EXCHANGE_SCHEMA, num_buckets=8
+    )
+    kept = keys[seen % 2 == 1]
+    assert 0 < len(kept) < len(keys)
+    _check_typed(out, pd.DataFrame({"k": kept, "n": np.ones(len(kept), np.int64)}))
+
+
+def test_bucket_exchange_rejects_output_off_schema(one_cpu):
+    import pyarrow.compute as pc
+
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
+
+    def wrong(rows: pa.Table, _b: int) -> pa.Table:
+        return pa.table({"k": rows["k"], "n": pc.cast(rows["k"], pa.int32())})
+
+    out = bucket_exchange(
+        _exchange_input(np.arange(10)),
+        "k",
+        wrong,
+        schema=EXCHANGE_SCHEMA,
+        num_buckets=8,
+    )
+    off_schema = r"(?s)reducer \S*wrong returned.*does not match the declared schema"
+    with pytest.raises(ValueError, match=off_schema):
+        out.materialize()
+
+
+def test_bucket_exchange_chained(one_cpu):
+    """Two exchanges in a row: count rows per key, then count keys per
+    count — the second stage packs inside the first one's reduce."""
+    from etl_data_validation_kio_ray.pipelines.relational import bucket_exchange
+
+    keys = np.repeat(np.arange(30), np.arange(30) % 4 + 1)
+
+    def keys_per_count(rows: pa.Table, _b: int) -> pa.Table:
+        g = rows.group_by("n").aggregate([("k", "count")])
+        return pa.table([g["n"], g["k_count"]], schema=EXCHANGE_SCHEMA)
+
+    stage1 = bucket_exchange(
+        _exchange_input(keys), "k", _count_keys, schema=EXCHANGE_SCHEMA, num_buckets=8
+    )
+    out = bucket_exchange(
+        stage1, "n", keys_per_count, schema=EXCHANGE_SCHEMA, num_buckets=8
+    )
+    per_count = pd.Series(np.arange(30) % 4 + 1).value_counts()
+    _check_typed(out, pd.DataFrame({"k": per_count.index, "n": per_count.values}))

@@ -239,6 +239,59 @@ def test_row_gate_quarantines_before_rules(ray_session, tmp_path):
     assert res2.metrics["global"]["rows_total"] == 240
 
 
+@pytest.mark.parametrize("driver_max", [None, 0])
+def test_duplicate_confirm_counts_only_gated_through_rows(
+    ray_session, tmp_path, monkeypatch, driver_max
+):
+    """The doc_id_unique confirm applies the row gate the engine
+    applied: part-0000 holds two non-web rows with one id, part-0001 a
+    web row with the same id, under ``source not_in [web]`` — so the
+    id appears 2 times (not 3) and part-0001 has no duplicate. Both
+    confirm paths (driver read, Ray dataset) agree with the SQL twin."""
+    import pyarrow as pa
+
+    from etl_data_validation_kio_ray.core.specs import RuleSpec, default_rules
+    from etl_data_validation_kio_ray.pipelines import validate as V
+    from etl_data_validation_kio_ray.pipelines.crosscheck import cross_check_run
+    from etl_data_validation_kio_ray.sources.synth import partition_file
+
+    if driver_max is not None:
+        monkeypatch.setattr(V, "DRIVER_UNIQUE_MAX_BYTES", driver_max)
+
+    def with_rows(t, rows, doc_id, source):
+        ids, src = t["doc_id"].to_pylist(), t["source"].to_pylist()
+        for i in rows:
+            ids[i], src[i] = doc_id, source
+        t = t.set_column(0, "doc_id", pa.array(ids, pa.string()))
+        return t.set_column(3, "source", pa.array(src, pa.string()))
+
+    d = str(tmp_path / "in")
+    os.makedirs(d)
+    part0 = with_rows(make_partition(0, 60), [0, 1], "dup-x", "books")
+    part1 = with_rows(make_partition(1, 60), [0], "dup-x", "web")
+    pq.write_table(part0, partition_file(d, 0))
+    pq.write_table(part1, partition_file(d, 1))
+    rules = dict(default_rules(allowed_sources=ALLOWED + ["forums"]))
+    rules["row_gate"] = RuleSpec(
+        "row_gate", "invariants", "warning",
+        params={"predicates": [("source", "not_in", ["web"])]},
+    )
+    res = ValidationPipeline(rules).run(d, str(tmp_path / "o"))
+
+    v = res.violations().to_pandas()
+    dup = v[v.rule_id == "doc_id_unique"]
+    assert len(dup) == 2
+    assert set(dup.partition) == {"part-0000"}
+    assert (dup.reason == "doc_id appears 2 times").all()
+    failed = {
+        c.partition: c.rows_failed for c in res.verdicts if c.rule_id == "doc_id_unique"
+    }
+    assert failed == {"part-0000": 2, "part-0001": 0}
+    agree = cross_check_run(d, res, rules)
+    uniq = agree[agree.rule_id == "doc_id_unique"]
+    assert len(uniq) and uniq.agree.all(), uniq[~uniq.agree]
+
+
 def test_cross_check_with_gate_and_extra_columns(ray_session, tmp_path):
     """Cross-check must mirror the row-gate quarantine (downstream
     twins count only surviving rows) and must ignore extra physical
@@ -1278,9 +1331,9 @@ def test_driver_confirm_reads_holders_and_foreign_files(ray_session, tmp_path, m
     read = []
     read_keys = V._read_keys
 
-    def recorded(key_files):
+    def recorded(key_files, *gate):
         read.append(sorted(os.path.basename(f) for fs in key_files.values() for f in fs))
-        return read_keys(key_files)
+        return read_keys(key_files, *gate)
 
     monkeypatch.setattr(V, "_read_keys", recorded)
 

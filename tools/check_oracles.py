@@ -9,9 +9,11 @@ Ray gets ``RAY_GRAFT_CPUS`` CPUs (default 8; ``RAY_GRAFT_CPUS=1`` is the
 ``TIMEOUT <name>``, counts as a failure, and Ray is restarted so the
 wedged execution cannot hold up the next entry.
 
-Each entry's line ends with ``warn=R/H``: how many of Ray Data's
+Each entry's line ends with ``warn=R/H/B``: how many of Ray Data's
 "Operator produced a RefBundle with a different schema" (R) and
-"Failed to hash the schemas" (H) warnings the entry logged, read from
+"Failed to hash the schemas" (H) warnings the entry logged, and how
+many of the R warnings name the ``__b`` bucket column (B). The counts
+are read from
 this process's stderr and from the session's ``logs/ray-data/ray-data.log``
 (every warning lands there; some are echoed to stderr as well, so each
 kind counts as the larger of the two streams). A final ``# warnings``
@@ -100,10 +102,16 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     return problems
 
 
-WARNINGS = (
-    ("refbundle", "Operator produced a RefBundle with a different schema"),
-    ("hash", "Failed to hash the schemas"),
-)
+REFBUNDLE = "Operator produced a RefBundle with a different schema"
+WARNINGS = (("refbundle", REFBUNDLE), ("hash", "Failed to hash the schemas"))
+
+
+def _bucket_warnings(text: str) -> int:
+    """RefBundle warnings whose schemas name the ``__b`` bucket column."""
+    return sum(
+        "__b" in w.split("This may lead to unexpected behavior")[0]
+        for w in text.split(REFBUNDLE)[1:]
+    )
 
 
 class WarningCounter:
@@ -117,7 +125,7 @@ class WarningCounter:
         self._stderr = os.dup(2)
         self._tmp = tempfile.TemporaryFile()
         os.dup2(self._tmp.fileno(), 2)
-        self.totals = dict.fromkeys((k for k, _ in WARNINGS), 0)
+        self.totals = dict.fromkeys(["refbundle", "hash", "bucket"], 0)
 
     @staticmethod
     def _log_path() -> str | None:
@@ -146,6 +154,7 @@ class WarningCounter:
         # reach stderr, so the larger count is the entry's count
         err, log = err.decode("utf-8", "replace"), log.decode("utf-8", "replace")
         counts = {k: max(err.count(pat), log.count(pat)) for k, pat in WARNINGS}
+        counts["bucket"] = max(_bucket_warnings(err), _bucket_warnings(log))
         for k, v in counts.items():
             self.totals[k] += v
         return counts
@@ -213,7 +222,7 @@ def main():
             ray_df, err = run_entry(fn, sf_dir, ENTRY_TIMEOUT_S)
             secs = f"({time.perf_counter() - t0:.2f} s)"
             w = warn.stop()
-            secs += f" warn={w['refbundle']}/{w['hash']}"
+            secs += f" warn={w['refbundle']}/{w['hash']}/{w['bucket']}"
             if ray_df is None and err is None:
                 print(f"TIMEOUT {name} {secs}", flush=True)
                 failures += 1
@@ -236,7 +245,7 @@ def main():
                 print(f"OK   {name}: rows={len(ray_df)} hash-comparable {secs}", flush=True)
         print(
             f"# warnings: refbundle={warn.totals['refbundle']} "
-            f"hash={warn.totals['hash']}",
+            f"hash={warn.totals['hash']} bucket={warn.totals['bucket']}",
             flush=True,
         )
     finally:
