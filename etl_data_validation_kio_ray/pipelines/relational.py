@@ -1560,16 +1560,12 @@ def bucket_exchange(ds, key, reduce, *, schema, num_buckets=None):
     except Exception:
         n_in = 1
     ranges = max(1, min(nb, n_in))
-    # envelope key: 2*bucket + 1 for a bucket's rows, 2*low for the meta
-    # rows of the range that starts at bucket `low` (its sentinel and,
-    # under a schema function, the input schema), so a range sorts as
-    # its meta rows, then each bucket's rows
-    lows = np.array([2 * (nb * i // ranges) for i in range(ranges)], np.int32)
+    lows = np.array([nb * i // ranges for i in range(ranges)], np.int32)
     fixed = isinstance(schema, pa.Schema)
 
     def pack(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
-        keys, payload = [], []
+        ids, payload = [], []
         if t.num_rows:
             if callable(key):
                 b = np.asarray(key(t, nb)).astype(np.int32)
@@ -1580,36 +1576,37 @@ def bucket_exchange(ds, key, reduce, *, schema, num_buckets=None):
             t = t.take(pa.array(order))
             cuts = np.flatnonzero(np.diff(b)) + 1
             starts, ends = np.r_[0, cuts], np.r_[cuts, len(b)]
-            keys = list(2 * b[starts] + 1)
+            ids = list(b[starts])
             payload = [_ipc(t.slice(lo, hi - lo)) for lo, hi in zip(starts, ends)]
         if not fixed and t.num_columns:
             # every range learns the input schema, so a range without
             # rows can still type its empty block
-            keys += list(lows)
+            ids += list(lows)
             payload += [_ipc(t.schema.empty_table())] * ranges
         return pa.table(
-            [pa.array(keys, pa.int32()), pa.array(payload, pa.large_binary())],
+            [pa.array(ids, pa.int32()), pa.array(payload, pa.large_binary())],
             schema=_ENVELOPE,
         )
 
     def reduce_range(env: pa.Table) -> pa.Table:
-        k = env[_BUCKET].to_numpy()
+        b = env[_BUCKET].to_numpy()
         rows = env[_ROWS].combine_chunks()
+        cuts = np.flatnonzero(np.diff(b)) + 1
         out_schema, outs = (schema if fixed else None), []
-        if out_schema is None:
-            meta = np.flatnonzero((k % 2 == 0) & rows.is_valid().to_numpy(False))
-            if not len(meta):  # zero-row input under a schema function
-                return pa.table({})
-            in_schema = pa.ipc.open_stream(rows[int(meta[0])].as_buffer()).schema
-            out_schema = schema(in_schema)
-        data = np.flatnonzero(k % 2 == 1)
-        cuts = np.flatnonzero(np.diff(k[data])) + 1
-        for run in np.split(data, cuts) if len(data) else []:
-            g = pa.concat_tables(
-                [pa.ipc.open_stream(rows[int(i)].as_buffer()).read_all() for i in run],
-                promote_options="default",
-            )
-            outs.append(_conform(reduce(g, int(k[run[0]]) // 2), out_schema, site))
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(b)]):
+            parts = [
+                pa.ipc.open_stream(v.as_buffer()).read_all()
+                for v in rows[lo:hi]
+                if v.is_valid
+            ]
+            if out_schema is None and parts:
+                out_schema = schema(parts[0].schema)
+            g = [p for p in parts if p.num_rows]
+            if g:
+                g = pa.concat_tables(g, promote_options="default")
+                outs.append(_conform(reduce(g, int(b[lo])), out_schema, site))
+        if out_schema is None:  # zero-row input under a schema function
+            return pa.table({})
         return pa.concat_tables([out_schema.empty_table()] + outs)
 
     def packed(d):
